@@ -19,7 +19,6 @@ from .series import (
     laguerre_fractional_derivative,
     rl_derivative,
     rl_integral,
-    series_add,
     series_allclose,
     series_eval,
     series_mul,

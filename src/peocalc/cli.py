@@ -166,15 +166,6 @@ def bivariate_payload(s) -> dict:
     return {"type": "bivariate_series", "terms": rows}
 
 
-def bivariate_from_payload(p: dict):
-    if not isinstance(p, dict) or p.get("type") != "bivariate_series":
-        raise ConfigError("payload is not a serialized bivariate series")
-    terms = {}
-    for k, e, re, im in p["terms"]:
-        terms[(int(k), Fraction(e))] = complex(re, im) if im else re
-    return solvers.BivariateSeries(terms)
-
-
 def _matrix_payload(m: solvers.Matrix2) -> dict:
     return {
         "type": "matrix",
@@ -585,8 +576,9 @@ def cmd_plot_trig(args) -> int:
             break
         xs.append(x)
         k += 1
-    lc = [laguerre_cos(x, cfg).value for x in xs]
-    ls = [laguerre_sin(x, cfg).value for x in xs]
+    le_ix = [laguerre_exp(complex(0.0, x), cfg).value for x in xs]
+    lc = [v.real for v in le_ix]
+    ls = [v.imag for v in le_ix]
     lines = ["x,lc,ls"]
     lines.extend(f"{_fmt(x)},{_fmt(c)},{_fmt(s)}" for x, c, s in zip(xs, lc, ls))
     text = "\n".join(lines) + "\n"

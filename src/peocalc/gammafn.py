@@ -1,121 +1,53 @@
-"""Gamma function backbone: Lanczos approximation with reflection.
+"""Gamma function for real arguments, on ``math.gamma`` and ``math.lgamma``.
 
 Everything downstream (fractional power rules, Mittag-Leffler sums, umbral
-evaluation) reduces to Gamma quotients, so this module keeps its own
-implementation rather than pulling in a dependency.  The fit is the classic
-g = 7, 9-coefficient Lanczos approximation (Godfrey's coefficients), applied
-after reflecting arguments with real part below 1/2:
+evaluation) reduces to Gamma quotients; their accuracy is that of the
+standard library, a few units in the last place away from the poles.  A
+complex argument raises DomainError.  Two paths differ from a bare call:
 
-    Gamma(z) Gamma(1 - z) = pi / sin(pi z)
-
-On the real axis in [-170, 170], away from the poles, this is good to about
-1e-14 relative; the documented guarantee is 12 significant digits.  Real
-arguments return floats, complex arguments return complex.
-
-``recip_gamma`` is the entire reciprocal: it returns exactly 0.0 at the
-poles z = 0, -1, -2, ... which is what lets downstream power rules encode
-"this term is annihilated" without special cases.
+- a positive integer n <= 171 gives float((n - 1)!), correctly rounded
+  where ``math.gamma`` can be an ulp off, so integer weights agree bit for
+  bit with exact factorial arithmetic;
+- ``recip_gamma`` is entire: exactly 0.0 at the poles, which lets power
+  rules annihilate a term without special cases; exp(-lgamma(x)) past
+  x = 171, where Gamma overflows but its reciprocal underflows smoothly; and
+  the reflection sin(pi x) Gamma(1 - x) / pi in log space below x = -170,
+  which overflows to +-inf.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from fractions import Fraction
 
 from .errors import DomainError, GammaPoleError
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Largest n with n! representable in a double (171! overflows).
-_MAX_EXACT_FACTORIAL_ARG = 171
+# Largest n with (n - 1)! representable in a double (171! overflows).
+_MAX_FACTORIAL_ARG = 171
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+def _real(z, name: str) -> float:
+    if isinstance(z, complex):
+        raise DomainError(f"{name} takes real arguments only, got {z!r}")
+    return float(z)
 
 
 def is_gamma_pole(z) -> bool:
     """True when z is exactly a pole of Gamma (zero or a negative integer)."""
-    if isinstance(z, complex):
-        if z.imag != 0.0:
-            return False
-        z = z.real
-    return _is_nonpositive_integer(float(z))
+    x = _real(z, "is_gamma_pole")
+    return x <= 0.0 and x.is_integer()
 
 
-def _lanczos_sum_real(z: float) -> float:
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    return acc
-
-
-def _lanczos_sum_complex(z: complex) -> complex:
-    acc: complex = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    return acc
-
-
-def _gamma_real_positive(x: float) -> float:
-    # x >= 0.5.  The split power t**((z+0.5)/2) keeps intermediates in range
-    # up to Gamma(171); past that the true value overflows a double anyway.
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    s = _lanczos_sum_real(z)
-    try:
-        w = t ** (0.5 * (z + 0.5))
-        return _SQRT_TWO_PI * s * (w * math.exp(-t)) * w
-    except OverflowError:
-        return math.inf
-
-
-def _gamma_complex_shifted(z: complex) -> complex:
-    # Re(z) >= 0.5
-    zm = z - 1.0
-    t = zm + _LANCZOS_G + 0.5
-    s = _lanczos_sum_complex(zm)
-    try:
-        return _SQRT_TWO_PI * s * cmath.exp((zm + 0.5) * cmath.log(t) - t)
-    except OverflowError:
-        return complex(math.inf, math.inf)
-
-
-def gamma(z):
-    """Gamma(z) for real or complex z.  Raises GammaPoleError at the poles."""
-    if isinstance(z, complex) and z.imag != 0.0:
-        if z.real >= 0.5:
-            return _gamma_complex_shifted(z)
-        # reflection; sin(pi z) never vanishes off the real axis
-        return math.pi / (cmath.sin(math.pi * z) * _gamma_complex_shifted(1.0 - z))
-
-    x = float(z.real) if isinstance(z, complex) else float(z)
-    if _is_nonpositive_integer(x):
+def gamma(z) -> float:
+    """Gamma(z) for real z.  Raises GammaPoleError at the poles."""
+    x = _real(z, "gamma")
+    if is_gamma_pole(x):
         raise GammaPoleError(f"gamma pole at {x}")
-    if x == math.floor(x) and x <= _MAX_EXACT_FACTORIAL_ARG:
-        result = float(math.factorial(int(x) - 1))
-    elif x >= 0.5:
-        result = _gamma_real_positive(x)
-    else:
-        # reflection into the x >= 0.5 half line
-        s = math.sin(math.pi * x)
-        result = math.pi / (s * _gamma_real_positive(1.0 - x))
-    return complex(result) if isinstance(z, complex) else result
+    if x.is_integer() and x <= _MAX_FACTORIAL_ARG:
+        return float(math.factorial(int(x) - 1))
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def log_gamma_real(x: float) -> float:
@@ -123,43 +55,25 @@ def log_gamma_real(x: float) -> float:
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"log_gamma_real needs x > 0, got {x}")
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return (
-        _LOG_SQRT_TWO_PI
-        + (z + 0.5) * math.log(t)
-        - t
-        + math.log(_lanczos_sum_real(z))
-    )
+    return math.lgamma(x)
 
 
-def recip_gamma(z):
+def recip_gamma(z) -> float:
     """1 / Gamma(z), entire in z: exactly 0.0 at z = 0, -1, -2, ..."""
-    if is_gamma_pole(z):
-        return complex(0.0) if isinstance(z, complex) else 0.0
-
-    if isinstance(z, complex) and z.imag != 0.0:
-        return 1.0 / gamma(z)
-
-    x = float(z.real) if isinstance(z, complex) else float(z)
-    if x >= 0.5:
-        if x <= 170.0:
-            result = 1.0 / _gamma_real_positive(x) if x != math.floor(x) else 1.0 / gamma(x)
-        else:
-            # exp underflows smoothly to 0.0 for very large x
-            result = math.exp(-log_gamma_real(x))
-    else:
-        # 1/Gamma(x) = sin(pi x) Gamma(1 - x) / pi
-        g = 1.0 - x
+    x = _real(z, "recip_gamma")
+    if is_gamma_pole(x):
+        return 0.0
+    if x > _MAX_FACTORIAL_ARG:
+        return math.exp(-math.lgamma(x))
+    if 1.0 - x > _MAX_FACTORIAL_ARG:
         s = math.sin(math.pi * x)
-        if g <= 170.0:
-            result = s * gamma(g) / math.pi
-        else:
-            try:
-                result = s * math.exp(log_gamma_real(g)) / math.pi
-            except OverflowError:
-                result = math.copysign(math.inf, s)
-    return complex(result) if isinstance(z, complex) else result
+        try:
+            return s * math.exp(math.lgamma(1.0 - x)) / math.pi
+        except OverflowError:
+            return math.copysign(math.inf, s)
+    g = gamma(x)
+    # Gamma overflows only for |x| below about 1e-308, where 1/Gamma(x) = x.
+    return x if math.isinf(g) else 1.0 / g
 
 
 def beta(x, y):
@@ -169,19 +83,4 @@ def beta(x, y):
         raise DomainError(f"beta needs positive arguments, got ({x}, {y})")
     if xf + yf <= 170.0:
         return gamma(xf) * gamma(yf) / gamma(xf + yf)
-    return math.exp(log_gamma_real(xf) + log_gamma_real(yf) - log_gamma_real(xf + yf))
-
-
-def exact_factorial_ratio(n: int, k: int) -> Fraction:
-    """n! / k! as an exact Fraction (both nonnegative integers)."""
-    if n < 0 or k < 0:
-        raise DomainError("factorial ratio needs nonnegative integers")
-    if n >= k:
-        num = 1
-        for j in range(k + 1, n + 1):
-            num *= j
-        return Fraction(num)
-    den = 1
-    for j in range(n + 1, k + 1):
-        den *= j
-    return Fraction(1, den)
+    return math.exp(math.lgamma(xf) + math.lgamma(yf) - math.lgamma(xf + yf))

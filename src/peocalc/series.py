@@ -5,7 +5,7 @@ real exponents g.  Exponents need not be integers (fractional calculus
 produces families like mu*n + k), coefficients may be ints, Fractions,
 floats or complex.  Exact coefficient types are preserved whenever an
 operation only needs rational arithmetic; Gamma quotients of genuinely
-fractional arguments go through the Lanczos backbone and give floats.
+fractional arguments give floats.
 
 Truncation is tracked, not hidden: every series carries an inclusive
 truncation_order, operations that drop terms above it set the `truncated`
@@ -223,10 +223,6 @@ class FracSeries:
 # -- module-level operations ----------------------------------------------
 
 
-def series_add(a: FracSeries, b: FracSeries) -> FracSeries:
-    return a + b
-
-
 def series_mul(a: FracSeries, b: FracSeries) -> FracSeries:
     """Cauchy product; exponents add, higher-order terms are dropped."""
     order = a.truncation_order if float(a.truncation_order) <= float(b.truncation_order) else b.truncation_order
@@ -241,10 +237,6 @@ def series_mul(a: FracSeries, b: FracSeries) -> FracSeries:
                 continue
             out.append((e, ca * cb))
     return FracSeries(out, order, truncated=a.truncated or b.truncated or dropped)
-
-
-def series_scale(s: FracSeries, factor) -> FracSeries:
-    return s.scale(factor)
 
 
 def series_derivative(s: FracSeries) -> FracSeries:

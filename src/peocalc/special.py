@@ -13,7 +13,7 @@ together with its associated family and the Mittag-Leffler function:
     H3(n, x, y) = n! sum_{3r <= n} x^(n-3r) y^r / ((n-3r)! r!)
 
 All infinite sums share one termination rule (SeriesEvalConfig): stop after
-`consecutive_small` successive terms of magnitude at most rel_tol times the
+CONSECUTIVE_SMALL successive terms of magnitude at most rel_tol times the
 running partial sum, fail with ConvergenceError past max_terms.  They return
 a SeriesSum carrying the value and the number of terms taken.
 
@@ -30,23 +30,23 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
-from .gammafn import gamma, log_gamma_real, recip_gamma
+from .gammafn import log_gamma_real, recip_gamma
 from .series import FracSeries
+
+# Successive small terms that end a series sum.
+CONSECUTIVE_SMALL = 3
 
 
 @dataclass(frozen=True)
 class SeriesEvalConfig:
     rel_tol: float = 1e-14
     max_terms: int = 10000
-    consecutive_small: int = 3
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0):
             raise DomainError("rel_tol must be positive")
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
-        if self.consecutive_small < 1:
-            raise DomainError("consecutive_small must be at least 1")
 
 
 DEFAULT_CONFIG = SeriesEvalConfig()
@@ -68,7 +68,7 @@ def _converge(term_gen, cfg: SeriesEvalConfig, label: str) -> SeriesSum:
             raise ConvergenceError(f"{label} overflowed after {count} terms")
         if abs(term) <= cfg.rel_tol * abs(total):
             small_run += 1
-            if small_run >= cfg.consecutive_small:
+            if small_run >= CONSECUTIVE_SMALL:
                 return SeriesSum(total, count)
         else:
             small_run = 0
@@ -162,30 +162,6 @@ def mittag_leffler(alpha: float, beta: float, x, cfg: SeriesEvalConfig = DEFAULT
     if not float(alpha) > 0.0:
         raise DomainError(f"mittag_leffler needs alpha > 0, got {alpha}")
     return _converge(_ml_terms(alpha, beta, x), cfg, "mittag_leffler")
-
-
-def mittag_leffler_laplace_form(alpha: float, beta: float, x, cfg: SeriesEvalConfig = DEFAULT_CONFIG) -> SeriesSum:
-    """Mittag-Leffler through its Laplace-integral representation.
-
-    Term r carries the integral of s^r e^(-s), evaluated as Gamma(r+1)
-    through the Lanczos backbone, against the r-th power weight 1/r!, so the
-    route is sum_r x^r [Gamma(r+1)/r!] / Gamma(alpha r + beta).  The bracket
-    is 1 in exact arithmetic; its float evaluation (meaningful while
-    factorials are representable, r <= 170) is what makes this a genuinely
-    different code path for cross-checking the plain series.
-    """
-    if not float(alpha) > 0.0:
-        raise DomainError(f"mittag_leffler needs alpha > 0, got {alpha}")
-
-    def terms():
-        for r, base in enumerate(_ml_terms(alpha, beta, x)):
-            if r <= 170:
-                s_weight = gamma(float(r + 1)) / float(math.factorial(r))
-            else:
-                s_weight = 1.0
-            yield base * s_weight
-
-    return _converge(terms(), cfg, "mittag_leffler_laplace_form")
 
 
 def _h3_coefficient(n: int, r: int):

@@ -16,7 +16,6 @@ from peocalc.series import (
     laguerre_fractional_derivative,
     rl_derivative,
     rl_integral,
-    series_add,
     series_allclose,
     series_derivative,
     series_eval,
@@ -77,7 +76,7 @@ def test_add_matches_dict_merge_oracle():
         merged = {}
         for e, c in ta + tb:
             merged[e] = merged.get(e, 0.0) + c
-        got = series_add(FracSeries(ta), FracSeries(tb))
+        got = FracSeries(ta) + FracSeries(tb)
         for e, c in merged.items():
             assert got.coeff(e) == pytest.approx(c, abs=1e-15)
 
@@ -122,14 +121,14 @@ def test_mul_truncation_order_is_min():
 )
 def test_operators_linear_over_exact_coefficients(ta, tb, lam):
     a, b = FracSeries(ta), FracSeries(tb)
-    combo = series_add(a.scale(lam), b)
+    combo = a.scale(lam) + b
     for op in (
         laguerre_derivative,
         laguerre_antiderivative,
         lambda s: rl_integral(s, 2),
         series_derivative,
     ):
-        assert op(combo) == series_add(op(a).scale(lam), op(b))
+        assert op(combo) == op(a).scale(lam) + op(b)
 
 
 # -- Riemann-Liouville rules -------------------------------------------------
