@@ -17,6 +17,7 @@ and LF throughout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -620,7 +621,9 @@ def cmd_verify(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared afterwards."""
     parser = argparse.ArgumentParser(
         prog="peocalc",
         description="pseudo-evolution operator calculus toolkit",

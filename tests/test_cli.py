@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from scipy.special import erfc
@@ -9,9 +10,14 @@ from scipy.special import erfc
 from peocalc import cli
 from peocalc.series import series_allclose, series_eval
 from peocalc.special import kelvin_bei, kelvin_ber
-from peocalc.solvers import pseudo_rotation, solve_laguerre_drift
+from peocalc.solvers import (
+    pseudo_rotation,
+    solve_laguerre_drift,
+    solve_laguerre_schrodinger_general,
+)
 from peocalc.volterra import laguerre_vn_solve
 from peocalc.series import FracSeries
+from peocalc.weyl import Polynomial
 
 
 def run_cli(argv, capsys):
@@ -134,6 +140,20 @@ def test_solve_transport_residual_zero(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["residual_max"] == 0.0
     assert payload["solution"]["type"] == "bivariate_series"
+
+
+def test_solve_schrodinger_polynomial_state_at_n_max_20(tmp_path, capsys):
+    cfg = {"kind": "schrodinger", "alpha": "1/3", "beta": "2/5", "phi": [1, "1/2", 1],
+           "n_max": 20}
+    path = write_cfg(tmp_path, "sch.json", cfg)
+    rc, out, _ = run_cli(["solve", path], capsys)
+    assert rc == 0
+    terms = json.loads(out)["solution"]["terms"]
+    assert max(e for _, e, _, _ in terms) == 20.0
+    want = solve_laguerre_schrodinger_general(
+        Polynomial([1, Fraction(1, 2), 1]), Fraction(1, 3), Fraction(2, 5), 20
+    )
+    assert terms == json.loads(json.dumps(cli.bivariate_payload(want)))["terms"]
 
 
 def test_solve_unknown_kind_exits_2(tmp_path, capsys):

@@ -291,15 +291,12 @@ def test_schrodinger_general_residual_exact():
         (Polynomial({1: 1}), Fraction(2, 3), Fraction(0), 6),
         (Polynomial({2: 1, 0: -2}), Fraction(1, 2), Fraction(1, 3), 8),
         (Polynomial({3: 1, 1: 1}), Fraction(1), Fraction(-1, 4), 7),
+        (Polynomial([1, Fraction(1, 2), 1]), Fraction(1, 3), Fraction(2, 5), 20),
     )
     for phi, a, b, n in cases:
         F = solve_laguerre_schrodinger_general(phi, a, b, n)
+        assert any(e == n for (_, e), _ in F.items())
         assert schrodinger_residual(F, a, b).restrict_t(n - 1).is_zero
-
-
-def test_schrodinger_general_rejects_huge_order():
-    with pytest.raises(DomainError):
-        solve_laguerre_schrodinger_general(Polynomial({0: 1}), 1, 1, 13)
 
 
 # -- matrix evolutions ------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peocalc.errors import DomainError
+from peocalc.errors import ConvergenceError, DomainError
 from peocalc.special import hermite3
 from peocalc.weyl import (
     GaussianRational,
@@ -141,8 +141,8 @@ def test_polynomial_eval_exact_and_complex():
 
 
 def test_graded_exp_of_pure_derivative():
-    e = graded_exp(GradedOpSeries.single(1, WeylElement.d_op(), 5))
-    for m in range(6):
+    e = graded_exp(GradedOpSeries.single(1, WeylElement.d_op(), 16))
+    for m in range(17):
         assert e.coeff(m) == WeylElement.d_op(m).scale(Fraction(1, math.factorial(m)))
 
 
@@ -152,15 +152,19 @@ def test_graded_exp_rejects_degree_zero_part():
         graded_exp(s)
 
 
-def test_graded_exp_rejects_large_grades():
-    with pytest.raises(DomainError):
-        graded_exp(GradedOpSeries.single(1, WeylElement.d_op(), 13))
-
-
 def test_graded_exp_monomial_guard():
     fat = WeylElement({(a, b): 1 for a in range(5) for b in range(5)})
     with pytest.raises(ArithmeticError):
         graded_exp(GradedOpSeries.single(1, fat, 12))
+
+
+def test_graded_exp_monomial_guard_is_a_convergence_error():
+    # exp(t(d^2 + x^2 + d)) holds 432 monomials through grade 8 and passes
+    # the 500-monomial budget at grade 9
+    el = WeylElement.d_op(2) + WeylElement.x_op(2) + WeylElement.d_op()
+    assert graded_exp(GradedOpSeries.single(1, el, 8)).monomial_count() == 432
+    with pytest.raises(ConvergenceError):
+        graded_exp(GradedOpSeries.single(1, el, 10))
 
 
 def test_graded_series_truncation_on_mixed_orders():
@@ -238,6 +242,26 @@ def test_four_factor_chain(kappa, lam):
     assert direct == chain
 
 
+def _exp_at(el, grade, k):
+    return graded_exp(GradedOpSeries.single(grade, el, k))
+
+
+def _right_product(x_el, y_el, cs, k):
+    # exp(tX) exp(tY) exp(t^2 C_2) ... exp(t^k C_k)
+    product = _exp_at(x_el, 1, k) * _exp_at(y_el, 1, k)
+    for m in range(2, k + 1):
+        product = product * _exp_at(cs[m], m, k)
+    return product
+
+
+def _mirror_product(x_el, y_el, hats, k):
+    # exp(t^k C_k') ... exp(t^2 C_2') exp(tY) exp(tX)
+    mirror = _exp_at(y_el, 1, k) * _exp_at(x_el, 1, k)
+    for m in range(2, k + 1):
+        mirror = _exp_at(hats[m], m, k) * mirror
+    return mirror
+
+
 @given(weyl_elements(), weyl_elements())
 @settings(max_examples=20, deadline=None)
 def test_zassenhaus_low_order_formulas(x_el, y_el):
@@ -254,12 +278,56 @@ def test_zassenhaus_low_order_formulas(x_el, y_el):
 
 @pytest.mark.parametrize("kappa", [Fraction(1), Fraction(2, 3), Fraction(-2)])
 def test_zassenhaus_on_heat_pair(kappa, orientation="right"):
+    # exp(t(d^2 + k x)) splits into finitely many factors (see the four-factor
+    # chain above), so every correction past C_3 vanishes
     cs = zassenhaus_coeff(
-        WeylElement.d_op(2), WeylElement.x_op().scale(kappa), 6
+        WeylElement.d_op(2), WeylElement.x_op().scale(kappa), 20
     )
+    assert sorted(cs) == list(range(2, 21))
     assert cs[2] == WeylElement.d_op().scale(-kappa)
     assert cs[3] == WeylElement.scalar(Fraction(-2, 3) * kappa**2)
-    assert cs[4].is_zero and cs[5].is_zero and cs[6].is_zero
+    assert all(cs[m].is_zero for m in range(4, 21))
+
+
+@given(weyl_elements(), weyl_elements())
+@settings(max_examples=15, deadline=None)
+def test_zassenhaus_reconstructs_both_orientations(x_el, y_el):
+    # the oracle multiplies graded exponentials, which the recursion never forms
+    k = 5
+    direct = _exp_at(x_el + y_el, 1, k)
+    right = zassenhaus_coeff(x_el, y_el, k, orientation="right")
+    assert _right_product(x_el, y_el, right, k) == direct
+    left = zassenhaus_coeff(x_el, y_el, k, orientation="left")
+    assert _mirror_product(x_el, y_el, left, k) == direct
+
+
+@pytest.mark.parametrize(
+    "x_el,y_el,m",
+    [
+        (WeylElement.d_op(2) + WeylElement.x_op(2), WeylElement.d_op(), 10),
+        (WeylElement.d_op(3), WeylElement.x_op(), 12),
+        (WeylElement({(1, 1): 1}), WeylElement({(1, 0): 1, (0, 1): 1}), 11),
+    ],
+)
+def test_zassenhaus_prefix_does_not_depend_on_m_max(x_el, y_el, m):
+    short = zassenhaus_coeff(x_el, y_el, 8)
+    long = zassenhaus_coeff(x_el, y_el, m)
+    for k in range(2, 9):
+        assert long[k] == short[k]
+
+
+@pytest.mark.parametrize(
+    "x_el,y_el,m_max,k",
+    [
+        # grade 8 is as far as exp(t(d^2 + x^2 + d)) stays inside the
+        # monomial budget of graded_exp; the recursion runs on to grade 20
+        (WeylElement.d_op(2) + WeylElement.x_op(2), WeylElement.d_op(), 20, 8),
+        (WeylElement.d_op(3), WeylElement.x_op(), 14, 14),
+    ],
+)
+def test_zassenhaus_reconstructs_at_high_grades(x_el, y_el, m_max, k):
+    cs = zassenhaus_coeff(x_el, y_el, m_max)
+    assert _right_product(x_el, y_el, cs, k) == _exp_at(x_el + y_el, 1, k)
 
 
 @pytest.mark.parametrize(
@@ -271,6 +339,8 @@ def test_zassenhaus_on_heat_pair(kappa, orientation="right"):
     ],
 )
 def test_left_and_right_families_alternate(x_el, y_el):
+    # zassenhaus_coeff derives the left family from the right one by this very
+    # sign rule; the mirror-product reconstructions are its independent check
     right = zassenhaus_coeff(x_el, y_el, 6, orientation="right")
     left = zassenhaus_coeff(x_el, y_el, 6, orientation="left")
     for m in range(2, 7):
@@ -286,23 +356,11 @@ def test_zassenhaus_product_reconstructs_exponential(alpha, beta):
     x_el = WeylElement.d_op(2).scale(alpha)
     y_el = WeylElement.x_op().scale(beta)
     k = 6
-    direct = graded_exp(GradedOpSeries.single(1, x_el + y_el, k))
-
+    direct = _exp_at(x_el + y_el, 1, k)
     cs = zassenhaus_coeff(x_el, y_el, k, orientation="right")
-    product = graded_exp(GradedOpSeries.single(1, x_el, k)) * graded_exp(
-        GradedOpSeries.single(1, y_el, k)
-    )
-    for m in range(2, k + 1):
-        product = product * graded_exp(GradedOpSeries.single(m, cs[m], k))
-    assert product == direct
-
+    assert _right_product(x_el, y_el, cs, k) == direct
     hats = zassenhaus_coeff(x_el, y_el, k, orientation="left")
-    mirror = graded_exp(GradedOpSeries.single(1, y_el, k)) * graded_exp(
-        GradedOpSeries.single(1, x_el, k)
-    )
-    for m in range(2, k + 1):
-        mirror = graded_exp(GradedOpSeries.single(m, hats[m], k)) * mirror
-    assert mirror == direct
+    assert _mirror_product(x_el, y_el, hats, k) == direct
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
