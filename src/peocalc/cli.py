@@ -130,14 +130,10 @@ def _cfg_eval(args) -> SeriesEvalConfig:
 # -- serialization -----------------------------------------------------------
 
 
-def _to_complex(c) -> complex:
-    return c.to_complex() if hasattr(c, "to_complex") else complex(c)
-
-
 def series_payload(s: FracSeries) -> dict:
     rows = []
     for e, c in s.terms:
-        z = _to_complex(c)
+        z = complex(c)
         rows.append([float(e), z.real, z.imag])
     order = s.truncation_order
     return {
@@ -162,7 +158,7 @@ def series_from_payload(p: dict) -> FracSeries:
 def bivariate_payload(s) -> dict:
     rows = []
     for (k, e), c in s.items():
-        z = _to_complex(c)
+        z = complex(c)
         rows.append([k, float(e), z.real, z.imag])
     return {"type": "bivariate_series", "terms": rows}
 

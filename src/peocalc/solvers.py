@@ -115,38 +115,6 @@ def _as_exp(e) -> Fraction:
     raise DomainError(f"cannot use {e!r} as a t-exponent")
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, GaussianRational):
-        return c.is_zero
-    return c == 0
-
-
-def _num_mul(c, f):
-    if isinstance(c, GaussianRational):
-        if isinstance(f, (int, Fraction, GaussianRational)):
-            return c * f
-        return c.to_complex() * f
-    if isinstance(f, GaussianRational):
-        return f * c if isinstance(c, (int, Fraction)) else f.to_complex() * c
-    return c * f
-
-
-def _num_add(a, b):
-    if isinstance(a, GaussianRational) and not isinstance(b, (int, Fraction, GaussianRational)):
-        a = a.to_complex()
-    if isinstance(b, GaussianRational) and not isinstance(a, (int, Fraction, GaussianRational)):
-        b = b.to_complex()
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return GaussianRational.coerce(a) + GaussianRational.coerce(b)
-    return a + b
-
-
-def _num_abs(c) -> float:
-    if isinstance(c, GaussianRational):
-        return abs(c.to_complex())
-    return abs(complex(c))
-
-
 def _min_order(a, b):
     if a is None:
         return b
@@ -171,12 +139,12 @@ class BivariateSeries:
         for (k, e), c in dict(terms or {}).items():
             if k < 0:
                 raise DomainError(f"negative x-degree {k}")
-            if _is_zero_coeff(c):
+            if c == 0:
                 continue
             key = (int(k), _as_exp(e))
             if key in clean:
-                c = _num_add(clean[key], c)
-                if _is_zero_coeff(c):
+                c = clean[key] + c
+                if c == 0:
                     del clean[key]
                     continue
             clean[key] = c
@@ -197,8 +165,8 @@ class BivariateSeries:
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = _num_add(out.get(key, 0), c)
-            if _is_zero_coeff(s):
+            s = out.get(key, 0) + c
+            if s == 0:
                 out.pop(key, None)
             else:
                 out[key] = s
@@ -213,7 +181,7 @@ class BivariateSeries:
 
     def scale(self, c):
         return BivariateSeries(
-            {key: _num_mul(v, c) for key, v in self.terms.items()},
+            {key: v * c for key, v in self.terms.items()},
             self.x_order,
             self.t_order,
         )
@@ -229,7 +197,7 @@ class BivariateSeries:
         out = {}
         for (k, e), c in self.terms.items():
             if k >= 1:
-                out[(k - 1, e)] = _num_mul(c, k)
+                out[(k - 1, e)] = c * k
         return BivariateSeries(
             out,
             None if self.x_order is None else self.x_order - 1,
@@ -243,7 +211,7 @@ class BivariateSeries:
         out = {}
         for (k, e), c in self.terms.items():
             if e != 0:
-                out[(k, e - 1)] = _num_mul(c, e)
+                out[(k, e - 1)] = c * e
         return BivariateSeries(
             out, self.x_order, None if self.t_order is None else self.t_order - 1
         )
@@ -252,7 +220,7 @@ class BivariateSeries:
         out = {}
         for (k, e), c in self.terms.items():
             if e != 0:
-                out[(k, e - 1)] = _num_mul(c, e * e)
+                out[(k, e - 1)] = c * (e * e)
         return BivariateSeries(
             out, self.x_order, None if self.t_order is None else self.t_order - 1
         )
@@ -267,7 +235,7 @@ class BivariateSeries:
                 raise DomainError(f"rl_dt hits a Gamma pole at exponent {e}")
             factor = gamma(float(e) + 1.0) * recip_gamma(float(e - m) + 1.0)
             if factor != 0.0:
-                out[(k, e - m)] = _num_mul(c, factor)
+                out[(k, e - m)] = c * factor
         return BivariateSeries(
             out, self.x_order, None if self.t_order is None else self.t_order - m
         )
@@ -286,7 +254,7 @@ class BivariateSeries:
         for (k, e), c in self.terms.items():
             if cap is not None and e > cap:
                 continue
-            worst = max(worst, _num_abs(c))
+            worst = max(worst, abs(complex(c)))
         return worst
 
     def eval(self, x, t):
@@ -303,8 +271,7 @@ class BivariateSeries:
                 tp = 1.0
             else:
                 tp = tf ** float(e)
-            cv = c.to_complex() if isinstance(c, GaussianRational) else complex(c)
-            total += cv * x**k * tp
+            total += complex(c) * x**k * tp
         return total
 
     def __eq__(self, other):
@@ -321,7 +288,7 @@ def bivariate_max_deviation(a: BivariateSeries, b: BivariateSeries) -> float:
     keys = set(a.terms) | set(b.terms)
     worst = 0.0
     for key in keys:
-        worst = max(worst, _num_abs(_num_add(a.terms.get(key, 0), _num_mul(b.terms.get(key, 0), -1))))
+        worst = max(worst, abs(complex(a.terms.get(key, 0) - b.terms.get(key, 0))))
     return worst
 
 
@@ -330,9 +297,9 @@ def _poly_coeff_map(f) -> dict:
     if isinstance(f, Polynomial):
         return dict(f.coeffs)
     if isinstance(f, Mapping):
-        return {int(k): c for k, c in f.items() if not _is_zero_coeff(c)}
+        return {int(k): c for k, c in f.items() if c != 0}
     if isinstance(f, Sequence):
-        return {k: c for k, c in enumerate(f) if not _is_zero_coeff(c)}
+        return {k: c for k, c in enumerate(f) if c != 0}
     raise DomainError(f"cannot read polynomial coefficients from {type(f).__name__}")
 
 
@@ -360,11 +327,9 @@ def solve_laguerre_transport(
         w = kernel.weight(n)
         e = kernel.exponent(n)
         for k, c in deriv.items():
-            add = _num_mul(_num_mul(c, a_pow), w)
-            key = (k, e)
-            terms[key] = _num_add(terms.get(key, 0), add)
-        deriv = {k - 1: _num_mul(c, k) for k, c in deriv.items() if k >= 1}
-        a_pow = _num_mul(a_pow, alpha)
+            terms[(k, e)] = terms.get((k, e), 0) + c * a_pow * w
+        deriv = {k - 1: c * k for k, c in deriv.items() if k >= 1}
+        a_pow = a_pow * alpha
     return BivariateSeries(terms, x_order=deg, t_order=kernel.exponent(n_max))
 
 
@@ -382,7 +347,7 @@ def transport_residual(
         raise DomainError("the fractional transport residual needs the initial f")
     inhom_c = recip_gamma(1.0 - float(mu))
     inhom = BivariateSeries(
-        {(k, -mu): _num_mul(c, inhom_c) for k, c in _poly_coeff_map(f).items()}
+        {(k, -mu): c * inhom_c for k, c in _poly_coeff_map(f).items()}
     )
     return series.rl_dt(mu) - drift - inhom
 
@@ -459,21 +424,27 @@ def hermite_cubic_poly(n: int, a, y) -> Polynomial:
     Expands n! sum_r (a x)^(n-3r) y^r / ((n-3r)! r!) with rational (or
     Gaussian-rational) a and y, for use with the Weyl operator machinery.
     """
-    a = GaussianRational.coerce(a)
-    y = GaussianRational.coerce(y)
     coeffs: dict = {}
-    y_pow = GaussianRational(1)
     for r in range(n // 3 + 1):
         k = n - 3 * r
-        c = GaussianRational.coerce(
-            Fraction(math.factorial(n), math.factorial(k) * math.factorial(r))
-        )
-        a_pow = GaussianRational(1)
-        for _ in range(k):
-            a_pow = a_pow * a
-        coeffs[k] = c * a_pow * y_pow
-        y_pow = y_pow * y
+        c = Fraction(math.factorial(n), math.factorial(k) * math.factorial(r))
+        coeffs[k] = c * a**k * y**r
     return Polynomial(coeffs)
+
+
+def _evolved_grades(phi: Polynomial, c3, c1, arg_parts, n_max: int) -> list[Polynomial]:
+    """Grade-n polynomials of exp(w^3 c3) exp(w c1 x) phi(x + arg) 1.
+
+    arg_parts maps grades to the operators added to x in the argument of
+    phi; the result lists grades 0 through n_max, all exact.
+    """
+    chain = graded_exp(
+        GradedOpSeries.single(3, WeylElement.scalar(c3), n_max)
+    ) * graded_exp(GradedOpSeries.single(1, WeylElement.x_op().scale(c1), n_max))
+    arg = GradedOpSeries({0: WeylElement.x_op(), **arg_parts}, n_max)
+    full = chain * poly_of_graded(phi, arg)
+    one = Polynomial({0: 1})
+    return [apply(full.coeff(n), one) for n in range(n_max + 1)]
 
 
 def solve_laguerre_schrodinger_general(
@@ -490,29 +461,12 @@ def solve_laguerre_schrodinger_general(
     """
     a = GaussianRational.coerce(alpha)
     b = GaussianRational.coerce(beta)
-    k = n_max
-    six = GaussianRational(6)
-    chain = graded_exp(
-        GradedOpSeries.single(3, WeylElement.scalar(a * a * b / six), k)
-    ) * graded_exp(GradedOpSeries.single(1, WeylElement.x_op().scale(a), k))
-    arg = GradedOpSeries(
-        {
-            0: WeylElement.x_op(),
-            2: WeylElement.scalar(a * b / GaussianRational(2)),
-            1: WeylElement.d_op().scale(b),
-        },
-        k,
-    )
-    full = chain * poly_of_graded(phi, arg)
-    one = Polynomial({0: 1})
-    i_pow = GaussianRational(1)
+    arg = {2: WeylElement.scalar(a * b / 2), 1: WeylElement.d_op().scale(b)}
     terms: dict = {}
-    for n in range(k + 1):
-        p_n = apply(full.coeff(n), one)
-        w = i_pow * GaussianRational(Fraction(1, math.factorial(n)))
+    for n, p_n in enumerate(_evolved_grades(phi, a * a * b / 6, a, arg, n_max)):
+        w = GaussianRational.i() ** n / math.factorial(n)
         for deg, c in p_n.coeffs.items():
             terms[(deg, Fraction(n))] = c * w
-        i_pow = i_pow * GaussianRational.i()
     return BivariateSeries(terms, x_order=phi.degree(), t_order=Fraction(n_max))
 
 
@@ -521,7 +475,7 @@ def schrodinger_residual(series: BivariateSeries, alpha, beta) -> BivariateSerie
     i = GaussianRational.i()
     a = GaussianRational.coerce(alpha)
     b = GaussianRational.coerce(beta)
-    rhs = series.xmul().scale(i * a) + series.dx2().scale(i * b / GaussianRational(2))
+    rhs = series.xmul().scale(i * a) + series.dx2().scale(i * b / 2)
     return series.laguerre_dt() - rhs
 
 
@@ -597,28 +551,12 @@ def fractional_schrodinger_general(
         raise DomainError(f"fractional_schrodinger_general needs 0 < mu < 1, got {mu}")
     a = GaussianRational.coerce(alpha)
     b = GaussianRational.coerce(beta)
-    k = n_max
-    six = GaussianRational(6)
-    chain = graded_exp(
-        GradedOpSeries.single(3, WeylElement.scalar(-(a * a * b) / six), k)
-    ) * graded_exp(GradedOpSeries.single(1, WeylElement.x_op().scale(-a), k))
-    arg = GradedOpSeries(
-        {
-            0: WeylElement.x_op(),
-            1: WeylElement.scalar(a * b / GaussianRational(2))
-            + WeylElement.d_op().scale(-b),
-        },
-        k,
-    )
-    full = chain * poly_of_graded(f, arg)
-    one = Polynomial({0: 1})
+    arg = {1: WeylElement.scalar(a * b / 2) + WeylElement.d_op().scale(-b)}
     terms: dict = {}
-    for n in range(k + 1):
-        p_n = apply(full.coeff(n), one)
-        fac = GaussianRational(math.factorial(n))
+    for n, p_n in enumerate(_evolved_grades(f, -(a * a * b) / 6, -a, arg, n_max)):
         w = recip_gamma(float(m) * n + 1.0)
         for deg, c in p_n.coeffs.items():
-            cv = (c * fac).to_complex()
+            cv = complex(c * math.factorial(n))
             if cv.imag == 0.0:
                 cv = cv.real
             terms[(deg, m * n)] = cv * w

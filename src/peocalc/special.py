@@ -17,9 +17,9 @@ CONSECUTIVE_SMALL successive terms of magnitude at most rel_tol times the
 running partial sum, fail with ConvergenceError past max_terms.  They return
 a SeriesSum carrying the value and the number of terms taken.
 
-bessel_j0, kelvin_ber and kelvin_bei are deliberately separate ascending
-series with their own loops: they exist to cross-check the family above, so
-they share no summation machinery with it.
+bessel_j0, kelvin_ber and kelvin_bei are references for the tests.  They
+sum the same ascending series as le(-x) and le(ix) in loops of their own,
+so they cancel where those do; ``verify`` checks against quadrature instead.
 """
 
 from __future__ import annotations
@@ -209,11 +209,11 @@ def mittag_leffler_series(mu: float, m, n_terms: int = 24, truncation_order=math
     return FracSeries(terms, truncation_order)
 
 
-# -- independent oracles -----------------------------------------------------
+# -- test references ---------------------------------------------------------
 
 
 def bessel_j0(t: float) -> float:
-    """Ascending series for J_0, kept independent of laguerre_exp."""
+    """Ascending series for J_0, in a loop apart from laguerre_exp."""
     t = float(t)
     q = 0.25 * t * t
     term = 1.0

@@ -38,7 +38,13 @@ _MAX_MONOMIALS = 500
 
 
 class GaussianRational:
-    """Exact complex number with Fraction real and imaginary parts."""
+    """Exact complex number with Fraction real and imaginary parts.
+
+    Arithmetic with a GaussianRational, an int or a Fraction stays exact;
+    arithmetic with a float or a complex returns a complex, the way Fraction
+    meets float.  ``coerce`` is the strict input check of the exact types and
+    refuses floats.
+    """
 
     __slots__ = ("re", "im")
 
@@ -63,52 +69,79 @@ class GaussianRational:
         return self.re == 0 and self.im == 0
 
     def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re + other, self.im)
+        if isinstance(other, (float, complex)):
+            return complex(self) + other
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if isinstance(other, (GaussianRational, int, Fraction, float, complex)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
+        return (-self).__add__(other)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if isinstance(other, GaussianRational):
+            return GaussianRational(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
+        if isinstance(other, (float, complex)):
+            return complex(self) * other
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = GaussianRational.coerce(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        if isinstance(other, GaussianRational):
+            d = other.re * other.re + other.im * other.im
+            if d == 0:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return GaussianRational(
+                (self.re * other.re + self.im * other.im) / d,
+                (self.im * other.re - self.re * other.im) / d,
+            )
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re / other, self.im / other)
+        if isinstance(other, (float, complex)):
+            return complex(self) / other
+        return NotImplemented
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented
+        return math.prod([self] * k, start=_ONE)
 
     def __eq__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction, so it must hash like it
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
+
+    to_complex = __complex__
+
+    def __abs__(self) -> float:
+        return abs(complex(self))
 
     def __repr__(self):
         if self.im == 0:
@@ -294,7 +327,7 @@ class Polynomial:
         acc = None
         prev = None
         for k in keys:
-            c = self.coeffs[k] if exact else self.coeffs[k].to_complex()
+            c = self.coeffs[k] if exact else complex(self.coeffs[k])
             acc = c if acc is None else acc * x ** (prev - k) + c
             prev = k
         return acc * x ** keys[-1] if keys[-1] else acc

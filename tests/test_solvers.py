@@ -89,6 +89,18 @@ def test_bivariate_drops_zeros_and_merges_duplicate_keys():
     assert (s - s).is_zero
 
 
+def test_bivariate_mixes_exact_and_float_coefficients():
+    key = (1, Fraction(1, 2))
+    mixed = BivariateSeries({key: GaussianRational(1, 1)}) + BivariateSeries({key: 0.5})
+    assert mixed.terms == {key: complex(1.5, 1)}
+    exact = BivariateSeries({key: GaussianRational(1, 1)}).scale(Fraction(1, 2))
+    assert exact.terms == {key: GaussianRational(Fraction(1, 2), Fraction(1, 2))}
+    cancel = BivariateSeries({key: GaussianRational(1, 1), (0, 0): 2}) + BivariateSeries(
+        {key: GaussianRational(-1, -1)}
+    )
+    assert cancel.terms == {(0, Fraction(0)): 2}
+
+
 def test_bivariate_rejects_negative_x_degree():
     with pytest.raises(DomainError):
         BivariateSeries({(-1, 0): 1})

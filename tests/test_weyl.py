@@ -50,6 +50,43 @@ def test_gaussian_rational_division_by_zero():
         GR(1) / GR(0)
 
 
+def test_gaussian_rational_hashes_like_an_equal_fraction():
+    assert GR(3) == 3 and hash(GR(3)) == hash(3)
+    assert hash(GR(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({GR(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({GR(1, 2), GR(Fraction(2, 2), 2)}) == 1
+
+
+def test_gaussian_rational_integer_powers():
+    z = GR(1, 1)
+    assert z**0 == GR(1)
+    assert z**2 == GR(0, 2)
+    assert z**4 == GR(-4)
+    with pytest.raises(TypeError):
+        z ** -1
+    # a Gaussian-rational point keeps Polynomial.eval exact
+    assert Polynomial({2: 1, 0: 1}).eval(z) == GR(1, 2)
+
+
+def test_gaussian_rational_mixed_arithmetic():
+    # exact partners stay exact, from either side
+    assert Fraction(1, 2) * GR(0, 1) == GR(0, Fraction(1, 2))
+    assert isinstance(Fraction(1, 2) * GR(0, 1), GR)
+    assert Fraction(1, 2) + GR(1, 1) == GR(Fraction(3, 2), 1)
+    assert 1 - GR(1, 1) == GR(0, -1)
+    assert GR(3, 6) / 3 == GR(1, 2)
+    # floats and complexes turn the result complex
+    assert GR(1, 1) + 0.5 == complex(1.5, 1)
+    assert isinstance(0.5 * GR(1), complex) and 0.5 * GR(1) == 0.5
+    assert 0.5 - GR(1, 1) == complex(-0.5, -1)
+    assert GR(1, 1) * 1j == complex(-1, 1)
+    assert complex(GR(Fraction(1, 4), -2)) == complex(0.25, -2)
+    assert GR(1, -2).to_complex() == complex(1, -2)
+    assert abs(GR(3, 4)) == 5.0
+    with pytest.raises(TypeError):
+        GR(1) + "1"
+
+
 # -- normal ordering -----------------------------------------------------------
 
 
