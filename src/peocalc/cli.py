@@ -35,8 +35,8 @@ from .special import (
     laguerre_sin,
     mittag_leffler,
 )
-from . import solvers
-from . import volterra
+# solvers and volterra are imported by the solve handlers that use them,
+# so eval, plot-trig and verify never load them
 from . import verify as verify_mod
 
 
@@ -256,6 +256,8 @@ def cmd_eval(args) -> int:
 
 
 def _kernel_from_cfg(cfg) -> solvers.EigenKernel:
+    from . import solvers
+
     spec = cfg.get("kernel", "laguerre")
     if spec == "laguerre":
         return solvers.LAGUERRE_KERNEL
@@ -267,6 +269,8 @@ def _kernel_from_cfg(cfg) -> solvers.EigenKernel:
 
 
 def _solve_transport(cfg, args) -> dict:
+    from . import solvers
+
     coeffs = _get(cfg, "initial", list)
     poly = {
         k: _number(c, f"initial[{k}]") for k, c in enumerate(coeffs) if c != 0
@@ -285,6 +289,8 @@ def _solve_transport(cfg, args) -> dict:
 
 
 def _solve_drift(cfg, args) -> dict:
+    from . import solvers
+
     alpha = _real(_get(cfg, "alpha", (int, float, str)), "alpha")
     beta = _real(_get(cfg, "beta", (int, float, str)), "beta")
     t = _real(_get(cfg, "t", (int, float)), "t")
@@ -309,6 +315,8 @@ def _exact_number(v, where: str) -> Fraction:
 
 
 def _solve_schrodinger(cfg, args) -> dict:
+    from . import solvers
+
     alpha = _number(_get(cfg, "alpha", (int, float, str)), "alpha")
     beta = _number(_get(cfg, "beta", (int, float, str)), "beta")
     n_max = _get(cfg, "n_max", int, 10)
@@ -336,6 +344,8 @@ def _solve_schrodinger(cfg, args) -> dict:
 
 
 def _matrix_from_cfg(cfg, key="m") -> solvers.Matrix2:
+    from . import solvers
+
     rows = _get(cfg, key, list)
     if len(rows) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in rows):
         raise ConfigError(f"{key!r} must be a 2x2 array")
@@ -345,6 +355,8 @@ def _matrix_from_cfg(cfg, key="m") -> solvers.Matrix2:
 
 
 def _solve_matrix(cfg, args) -> dict:
+    from . import solvers
+
     m = _matrix_from_cfg(cfg)
     t = _real(_get(cfg, "t", (int, float)), "t")
     method = _get(cfg, "method", str, "cayley_hamilton")
@@ -354,6 +366,8 @@ def _solve_matrix(cfg, args) -> dict:
 
 
 def _solve_fractional_matrix(cfg, args) -> dict:
+    from . import solvers
+
     m = _matrix_from_cfg(cfg)
     mu = _real(_get(cfg, "mu", (int, float, str)), "mu")
     t = _real(_get(cfg, "t", (int, float)), "t")
@@ -367,6 +381,8 @@ def _solve_fractional_matrix(cfg, args) -> dict:
 
 
 def _solve_fractional_schrodinger(cfg, args) -> dict:
+    from . import solvers
+
     alpha = _number(_get(cfg, "alpha", (int, float, str)), "alpha")
     beta = _number(_get(cfg, "beta", (int, float, str)), "beta")
     mu = _get(cfg, "mu", (int, float, str))
@@ -415,6 +431,8 @@ def _closed_form_report(f: FracSeries, y0, partial: FracSeries, order) -> dict |
 
 
 def _solve_vn(cfg, args) -> dict:
+    from . import volterra
+
     order = _real(_get(cfg, "order", (int, float), 20), "order")
     if args.order is not None:
         order = args.order
@@ -434,6 +452,8 @@ def _solve_vn(cfg, args) -> dict:
 
 
 def _solve_fractional_vn(cfg, args) -> dict:
+    from . import volterra
+
     order = _real(_get(cfg, "order", (int, float), 20), "order")
     if args.order is not None:
         order = args.order
@@ -451,6 +471,8 @@ def _solve_fractional_vn(cfg, args) -> dict:
 
 
 def _solve_dyson(cfg, args) -> dict:
+    from . import volterra
+
     order = _real(_get(cfg, "order", (int, float), 10), "order")
     if args.order is not None:
         order = args.order
@@ -606,6 +628,10 @@ def cmd_plot_trig(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.json:
+        rows = verify_mod.report(args.suite)
+        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
+        return 0 if all(r["passed"] for r in rows) else 1
     results = verify_mod.run_suite(args.suite)
     for r in results:
         print(r.line())
@@ -652,6 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run identity verification suites")
     p_verify.add_argument("suite", choices=[*sorted(verify_mod.SUITES), "all"])
+    p_verify.add_argument(
+        "--json", action="store_true", help="print one JSON object per check"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -8,13 +8,17 @@ standard library so a verification run never leans on the code paths it
 is checking more than the identity itself demands.
 
 Suites: special, umbral, weyl, peo, vn; "all" chains every one.
+
+The CLI imports this module at start-up, so `weyl`, `solvers` and
+`volterra` are imported inside the suites that use them, not here.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
@@ -32,19 +36,6 @@ from .umbral import (
     ml_binomial_pow,
     ml_semigroup_discrepancy,
 )
-from .weyl import (
-    GradedOpSeries,
-    Polynomial,
-    WeylElement,
-    berry_graded_check,
-    berry_rule_check,
-    commutator,
-    crofton_glaisher_check,
-    graded_exp,
-    zassenhaus_coeff,
-)
-from . import solvers
-from . import volterra
 
 
 @dataclass
@@ -53,6 +44,8 @@ class CheckResult:
     passed: bool
     residual: float
     detail: str = ""
+    # perf_counter() when the check finished; report() turns it into seconds
+    stamp: float = field(default_factory=time.perf_counter, compare=False, repr=False)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -90,6 +83,17 @@ def _expm2(rows, terms: int = 24):
             for i in range(2)
         ]
     return acc
+
+
+def _expm2_offdiag(a: float, b: float):
+    """exp([[0, a], [b, 0]]) for a * b > 0, in closed form.
+
+    The matrix squares to a b I, so with s = sqrt(ab) its exponential is
+    cosh(s) I + sinh(s)/s M (Moler and Van Loan, SIAM Review 45 (2003) 3).
+    """
+    s = math.sqrt(a * b)
+    c, k = math.cosh(s), math.sinh(s) / s
+    return [[c, k * a], [k * b, c]]
 
 
 def _mat2_mul(p, q):
@@ -235,6 +239,18 @@ def suite_umbral() -> list[CheckResult]:
 
 
 def suite_weyl() -> list[CheckResult]:
+    from .weyl import (
+        GradedOpSeries,
+        Polynomial,
+        WeylElement,
+        berry_graded_check,
+        berry_rule_check,
+        commutator,
+        crofton_glaisher_check,
+        graded_exp,
+        zassenhaus_coeff,
+    )
+
     out = []
     a, b = Fraction(2, 3), Fraction(-1, 2)
     x_el = WeylElement.x_op().scale(-a)
@@ -273,6 +289,9 @@ def suite_weyl() -> list[CheckResult]:
 
 
 def suite_peo() -> list[CheckResult]:
+    from . import solvers
+    from .weyl import Polynomial
+
     out = []
     f = Polynomial({3: 1, 1: -2, 0: 5})
     F = solvers.solve_laguerre_transport(f, Fraction(3, 7), 10)
@@ -352,6 +371,8 @@ def suite_peo() -> list[CheckResult]:
 
 
 def suite_vn() -> list[CheckResult]:
+    from . import volterra
+
     out = []
     f = FracSeries.monomial(1, -1, truncation_order=20)
     got = volterra.laguerre_vn_solve(f, 1, 30, 20).partial_sum
@@ -416,7 +437,7 @@ def suite_vn() -> list[CheckResult]:
         dt = 1.0 / steps
         for k in range(steps):
             tm = (k + 0.5) * dt
-            acc = _mat2_mul(_expm2([[0.0, dt], [tm * dt, 0.0]]), acc)
+            acc = _mat2_mul(_expm2_offdiag(dt, tm * dt), acc)
         integ[steps] = acc
     rich = [
         [(4.0 * integ[512][i][j] - integ[256][i][j]) / 3.0 for j in range(2)]
@@ -455,3 +476,28 @@ def run_suite(name: str) -> list[CheckResult]:
             f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}"
         )
     return SUITES[name]()
+
+
+def report(name: str) -> list[dict]:
+    """One JSON-ready row per check of suite `name` ("all" chains them).
+
+    A check's seconds run from the previous check's stamp, or from the
+    start of its suite for the first one.
+    """
+    names = list(SUITES) if name == "all" else [name]
+    rows = []
+    for suite in names:
+        start = time.perf_counter()
+        for r in run_suite(suite):
+            rows.append(
+                {
+                    "suite": suite,
+                    "name": r.name,
+                    "passed": r.passed,
+                    "residual": r.residual if math.isfinite(r.residual) else None,
+                    "detail": r.detail,
+                    "seconds": r.stamp - start,
+                }
+            )
+            start = r.stamp
+    return rows

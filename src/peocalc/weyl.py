@@ -29,12 +29,14 @@ cost follows the size of the commutators, not of the graded exponentials.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import ConvergenceError, DomainError
 
 _MAX_MONOMIALS = 500
+_HASH_MASK = (1 << sys.hash_info.width) - 1
 
 
 class GaussianRational:
@@ -42,7 +44,7 @@ class GaussianRational:
 
     Arithmetic with a GaussianRational, an int or a Fraction stays exact;
     arithmetic with a float or a complex returns a complex, the way Fraction
-    meets float.  ``coerce`` is the strict input check of the exact types and
+    meets float, and equality with them is exact.  ``coerce`` is the strict input check of the exact types and
     refuses floats.
     """
 
@@ -67,6 +69,9 @@ class GaussianRational:
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
@@ -125,15 +130,25 @@ class GaussianRational:
         return math.prod([self] * k, start=_ONE)
 
     def __eq__(self, other):
+        # Fraction == float compares exactly (and is False for nan and inf),
+        # so the float and complex cases are exact too
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, float)):
             return self.im == 0 and self.re == other
+        if isinstance(other, complex):
+            return self.re == other.real and self.im == other.imag
         return NotImplemented
 
     def __hash__(self):
-        # a real value equals its Fraction, so it must hash like it
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        # equal numbers hash alike: a real value hashes as its Fraction, and
+        # any other value the way CPython hashes the equal complex
+        if self.im == 0:
+            return hash(self.re)
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) & _HASH_MASK
+        if h > _HASH_MASK >> 1:
+            h -= _HASH_MASK + 1
+        return -2 if h == -1 else h
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

@@ -1,5 +1,8 @@
+import ast
+import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +10,7 @@ from fractions import Fraction
 import pytest
 from scipy.special import erfc
 
+import peocalc
 from peocalc import cli
 from peocalc.series import series_allclose, series_eval
 from peocalc.special import kelvin_bei, kelvin_ber
@@ -353,6 +357,22 @@ def test_verify_all_passes(capsys):
     assert out.strip().splitlines()[-1].endswith("checks passed")
 
 
+def test_verify_all_json(capsys):
+    rc, out, _ = run_cli(["verify", "all", "--json"], capsys)
+    assert rc == 0
+    rows = json.loads(out)
+    assert len(rows) == 31
+    assert all(r["passed"] for r in rows)
+    assert {r["suite"] for r in rows} == {"special", "umbral", "weyl", "peo", "vn"}
+    for r in rows:
+        assert list(r) == ["suite", "name", "passed", "residual", "detail", "seconds"]
+        assert isinstance(r["residual"], float) and r["seconds"] >= 0.0
+    # the same checks, in the same order, as the plain listing
+    _, plain, _ = run_cli(["verify", "all"], capsys)
+    names = [line.split("  ")[1] for line in plain.splitlines()[:-1]]
+    assert [r["name"] for r in rows] == names
+
+
 def test_verify_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuch"])
@@ -370,3 +390,78 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("value = ")
+
+
+# -- imports -------------------------------------------------------------
+
+# the names `peocalc` exported before its imports became lazy, by module
+PUBLIC_NAMES = {
+    "errors": ["ConditioningError", "ConvergenceError", "DomainError", "GammaPoleError"],
+    "gammafn": ["beta", "gamma", "log_gamma_real", "recip_gamma"],
+    "series": [
+        "FracSeries", "laguerre_antiderivative", "laguerre_derivative",
+        "laguerre_fractional_derivative", "rl_derivative", "rl_integral",
+        "series_allclose", "series_eval", "series_mul",
+    ],
+    "special": [
+        "DEFAULT_CONFIG", "SeriesEvalConfig", "hermite3", "laguerre_cos",
+        "laguerre_e_nm", "laguerre_exp", "laguerre_sin", "mittag_leffler",
+    ],
+    "umbral": [
+        "UmbralSum", "UmbralTerm", "VariableAllocator", "fio_eval",
+        "fio_eval_series", "laguerre_semigroup_check", "ml_semigroup_discrepancy",
+    ],
+    "weyl": [
+        "GaussianRational", "GradedOpSeries", "Polynomial", "WeylElement", "apply",
+        "commutator", "graded_exp", "weyl_mul", "zassenhaus_coeff",
+    ],
+    "volterra": [
+        "MatrixSeries", "VNState", "cos_recursion_coeffs", "cos_recursion_iterate",
+        "cosine_series", "dyson_evolution_operator",
+        "fractional_vn_monomial_closed_form", "fractional_vn_solve",
+        "laguerre_vn_solve",
+    ],
+    "solvers": [
+        "BivariateSeries", "EigenKernel", "EXP_KERNEL", "LAGUERRE_KERNEL", "Matrix2",
+        "fractional_matrix_evolution", "fractional_schrodinger",
+        "matrix_laguerre_exp", "mittag_leffler_kernel", "pseudo_rotation",
+        "solve_laguerre_drift", "solve_laguerre_schrodinger",
+        "solve_laguerre_schrodinger_general", "solve_laguerre_transport",
+    ],
+    "verify": ["CheckResult", "run_suite"],
+}
+
+
+def test_package_exports_the_same_objects():
+    want = [name for names in PUBLIC_NAMES.values() for name in names]
+    assert sorted(peocalc.__all__) == sorted(want) and len(want) == 66
+    for module, names in PUBLIC_NAMES.items():
+        mod = importlib.import_module(f"peocalc.{module}")
+        for name in names:
+            assert getattr(peocalc, name) is getattr(mod, name), name
+    with pytest.raises(AttributeError):
+        peocalc.no_such_name
+
+
+def test_imports_load_only_what_a_command_needs():
+    script = (
+        "import sys\n"
+        "import peocalc\n"
+        "print(sorted(m for m in sys.modules if m.startswith('peocalc.')))\n"
+        "from peocalc import cli\n"
+        "cli.main(['eval', 'le', '1'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('peocalc.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(peocalc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, _, _, after_eval = proc.stdout.splitlines()
+    assert after_import == "[]"
+    loaded = set(ast.literal_eval(after_eval))
+    assert "peocalc.verify" in loaded
+    assert not loaded & {"peocalc.weyl", "peocalc.solvers", "peocalc.volterra"}

@@ -57,6 +57,30 @@ def test_gaussian_rational_hashes_like_an_equal_fraction():
     assert len({GR(1, 2), GR(Fraction(2, 2), 2)}) == 1
 
 
+def test_gaussian_rational_truth_value():
+    assert not GR(0)
+    assert not GR(Fraction(0), Fraction(0))
+    assert GR(Fraction(1, 2)) and GR(0, -1)
+
+
+def test_gaussian_rational_equals_floats_and_complexes_exactly():
+    assert GR(Fraction(1, 2)) == 0.5 and 0.5 == GR(Fraction(1, 2))
+    assert GR(1, 2) == complex(1, 2) and complex(1, 2) == GR(1, 2)
+    assert GR(Fraction(-3, 4)) == complex(-0.75, 0)
+    # exact, the way Fraction meets float: 1/3 is not a binary fraction
+    assert GR(Fraction(1, 3)) != 1 / 3
+    assert GR(Fraction(1, 3), 1) != complex(1 / 3, 1)
+    assert GR(1, 1) != 1.0
+    for bad in (math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(1, math.inf)):
+        assert not GR(1) == bad and GR(1) != bad
+    # equal values hash alike, so they meet in sets and dicts
+    assert hash(GR(Fraction(1, 2))) == hash(0.5)
+    assert hash(GR(1, 2)) == hash(complex(1, 2))
+    assert hash(GR(Fraction(-5, 8), Fraction(3, 1024))) == hash(complex(-0.625, 3 / 1024))
+    assert len({GR(1, 2), complex(1, 2)}) == 1
+    assert len({GR(Fraction(1, 2)), 0.5, Fraction(1, 2)}) == 1
+
+
 def test_gaussian_rational_integer_powers():
     z = GR(1, 1)
     assert z**0 == GR(1)
