@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import DomainError
 from .gammafn import gamma, recip_gamma
@@ -46,6 +47,11 @@ def _same_exponent(a: float, b: float) -> bool:
 
 
 def _negligible(c) -> bool:
+    t = type(c)
+    if t is int or t is Fraction:
+        return not c  # exact types never underflow
+    if t is float:
+        return abs(c) < PRUNE_MAGNITUDE
     if c == 0:
         return True
     if isinstance(c, (int, Fraction)):
@@ -76,22 +82,23 @@ class FracSeries:
 
     def __init__(self, terms=(), truncation_order=math.inf, *, truncated=False):
         order_key = float(truncation_order)
+        # (float exponent, exponent, coefficient), in a stable sort on the float
         collected = sorted(
-            ((e, c) for e, c in terms if not _negligible(c)),
-            key=lambda ec: float(ec[0]),
+            ((float(e), e, c) for e, c in terms if not _negligible(c)),
+            key=itemgetter(0),
         )
         merged: list[list] = []
-        for e, c in collected:
-            if merged and _same_exponent(float(merged[-1][0]), float(e)):
-                merged[-1][1] = merged[-1][1] + c
+        for ef, e, c in collected:
+            if merged and _same_exponent(merged[-1][0], ef):
+                merged[-1][2] = merged[-1][2] + c
             else:
-                merged.append([e, c])
+                merged.append([ef, e, c])
         kept = []
         dropped_any = False
-        for e, c in merged:
+        for ef, e, c in merged:
             if _negligible(c):
                 continue
-            if float(e) > order_key and not _same_exponent(order_key, float(e)):
+            if ef > order_key and not _same_exponent(order_key, ef):
                 dropped_any = True
                 continue
             kept.append((e, c))
@@ -229,13 +236,16 @@ def series_mul(a: FracSeries, b: FracSeries) -> FracSeries:
     out = []
     dropped = False
     cap = float(order)
+    b_terms = [(eb, float(eb), cb) for eb, cb in b.terms]
     for ea, ca in a.terms:
-        for eb, cb in b.terms:
-            e = ea + eb
-            if float(e) > cap and not _same_exponent(cap, float(e)):
+        eaf = float(ea)
+        for eb, ebf, cb in b_terms:
+            ef = eaf + ebf
+            if ef > cap and not _same_exponent(cap, ef):
+                # b's exponents increase, so the rest of the row is past the cap too
                 dropped = True
-                continue
-            out.append((e, ca * cb))
+                break
+            out.append((ea + eb, ca * cb))
     return FracSeries(out, order, truncated=a.truncated or b.truncated or dropped)
 
 

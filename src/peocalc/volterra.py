@@ -11,8 +11,12 @@ check the fixed-point residual rather than trusting the loop.
 
 The time-ordered (Dyson-style) expansion does the same with a matrix
 kernel, where operator ordering matters: the generator always multiplies
-from the left at the latest time.  Matrix series reuse FracSeries
-entrywise, one engine for all exponent bookkeeping.
+from the left at the latest time.  Both of its variants run on one
+private form, the exponent map: a dict from each exponent to the n x n
+matrix of its coefficients.  One step then costs one matrix product per
+pair of exponents and one integral factor per exponent, where the
+entrywise form cost n^3 series products.  A MatrixSeries (a grid of
+FracSeries) is read into the map on entry and built from it on exit.
 """
 
 from __future__ import annotations
@@ -20,14 +24,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .errors import DomainError
 from .gammafn import beta, recip_gamma
 from .series import (
     FracSeries,
+    _as_integer,
+    _negligible,
+    _rl_integral_factor,
+    _same_exponent,
     laguerre_antiderivative,
     rl_integral,
+    series_eval,
+    series_max_deviation,
     series_mul,
 )
 
@@ -198,8 +209,11 @@ def cos_recursion_iterate(n: int, r_max: int) -> FracSeries:
 class MatrixSeries:
     """Square matrix whose entries are FracSeries in t.
 
-    All exponent merging, truncation, and termwise calculus is delegated
-    to the scalar series engine, entry by entry.
+    This is the public form of a matrix-valued series: it is built, read
+    entry by entry, evaluated and compared.  The time-ordered solvers do
+    not compute on it: they read it once into an exponent map, a dict
+    from each exponent to the n x n matrix of its coefficients, iterate
+    on that, and build a MatrixSeries again on exit.
     """
 
     __slots__ = ("grid", "n")
@@ -222,55 +236,11 @@ class MatrixSeries:
             [[FracSeries.constant(c, order) for c in row] for row in matrix]
         )
 
-    @classmethod
-    def identity(cls, n: int, order=math.inf) -> "MatrixSeries":
-        return cls.constant(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], order
-        )
-
     def entry(self, i: int, j: int) -> FracSeries:
         return self.grid[i][j]
 
-    def __add__(self, other):
-        if self.n != other.n:
-            raise DomainError("size mismatch")
-        return MatrixSeries(
-            [
-                [self.grid[i][j] + other.grid[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
-
-    def scale(self, c) -> "MatrixSeries":
-        return MatrixSeries([[s.scale(c) for s in row] for row in self.grid])
-
-    def __matmul__(self, other):
-        if self.n != other.n:
-            raise DomainError("size mismatch")
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = FracSeries.zero()
-                for k in range(self.n):
-                    acc = acc + series_mul(self.grid[i][k], other.grid[k][j])
-                row.append(acc)
-            out.append(row)
-        return MatrixSeries(out)
-
-    def rl_integral(self, alpha) -> "MatrixSeries":
-        return MatrixSeries(
-            [[rl_integral(s, alpha) for s in row] for row in self.grid]
-        )
-
-    def clip(self, order) -> "MatrixSeries":
-        return MatrixSeries([[_clip(s, order) for s in row] for row in self.grid])
-
     def valuation(self):
         return min(s.valuation() for row in self.grid for s in row)
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for row in self.grid for s in row)
 
     def coeff_matrix(self, exponent):
         return [
@@ -279,8 +249,6 @@ class MatrixSeries:
         ]
 
     def eval(self, t):
-        from .series import series_eval
-
         return [
             [series_eval(self.grid[i][j], t) for j in range(self.n)]
             for i in range(self.n)
@@ -291,8 +259,6 @@ class MatrixSeries:
 
 
 def matrix_series_max_deviation(a: MatrixSeries, b: MatrixSeries, up_to=None) -> float:
-    from .series import series_max_deviation
-
     worst = 0.0
     for i in range(a.n):
         for j in range(a.n):
@@ -301,6 +267,50 @@ def matrix_series_max_deviation(a: MatrixSeries, b: MatrixSeries, up_to=None) ->
                 x, y = _clip(x, up_to), _clip(y, up_to)
             worst = max(worst, series_max_deviation(x, y))
     return worst
+
+
+def _exponent_matrices(m: MatrixSeries) -> dict:
+    """M as {exponent: coefficient matrix}, with 0 where an entry lacks the power."""
+    mats = {}
+    for i, row in enumerate(m.grid):
+        for j, s in enumerate(row):
+            for e, c in s.terms:
+                if e not in mats:
+                    mats[e] = [[0] * m.n for _ in range(m.n)]
+                mats[e][i][j] = c
+    return mats
+
+
+def _real_float_copy(mats: dict) -> dict:
+    """mats with float entries if all are int, Fraction or float, else mats.
+
+    Fraction * float is float(Fraction) * float, so once the other factor
+    is float the copy gives the same products, faster.
+    """
+    if all(
+        type(c) in (int, Fraction, float)
+        for mat in mats.values()
+        for row in mat
+        for c in row
+    ):
+        return {e: [[float(c) for c in row] for row in mat] for e, mat in mats.items()}
+    return mats
+
+
+def _from_exponent_matrices(mats: dict, n: int, order) -> MatrixSeries:
+    # FracSeries drops the zero coefficients and merges float exponents
+    # that differ only by rounding.
+    return MatrixSeries(
+        [
+            [
+                FracSeries(
+                    [(e, mat[i][j]) for e, mat in mats.items()], order, truncated=True
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
 
 
 # -- time-ordered evolution operator ----------------------------------------------
@@ -338,41 +348,117 @@ def dyson_evolution_operator(
     raise DomainError(f"unknown dyson variant {variant!r}")
 
 
-def _dyson_recursion(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
-    if float(m.valuation()) < 0.0:
-        raise DomainError("dyson needs M exponents >= 0")
-    gain = float(alpha) + max(0.0, float(m.valuation()))
-    current = MatrixSeries.identity(m.n, order)
-    total = current
-    prev_val = 0.0
-    for _ in range(n_iter):
-        nxt = (m @ current).rl_integral(alpha).clip(order)
-        if nxt.is_zero():
-            break
-        if float(nxt.valuation()) < prev_val + gain - 1e-12:
-            raise ArithmeticError("dyson iterate valuation failed to grow")
-        prev_val = float(nxt.valuation())
-        total = total + nxt
-        if prev_val > float(order):
-            break
-        current = nxt
-    return total.clip(order)
+def _above(ef: float, cap: float) -> bool:
+    # The truncation test of FracSeries: past the cap and not equal to it.
+    return ef > cap and not _same_exponent(cap, ef)
+
+
+def _pair_products(pairs, n):
+    """The sum of A @ B over the (A, B) in pairs, one exponent's share of M U.
+
+    Entry (i, j) adds, for k = 0, 1, ..., the sum over the pairs of
+    A[i][k] B[k][j], leaving out zero factors, so that it rounds as the
+    entrywise Cauchy products of the series did, and a 0 standing for a
+    missing term never turns an exact sum into a float.
+    """
+    out = []
+    for i in range(n):
+        rows = [(a[i], b) for a, b in pairs]
+        out_row = []
+        for j in range(n):
+            total = 0
+            for k in range(n):
+                s = 0
+                for a_row, b in rows:
+                    x = a_row[k]
+                    if x:
+                        y = b[k][j]
+                        if y:
+                            s = s + x * y
+                total = total + s
+            out_row.append(total)
+        out.append(out_row)
+    return out
 
 
 def _mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
+def _dyson_recursion(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
+    val = float(m.valuation())
+    if val < 0.0:
+        raise DomainError("dyson needs M exponents >= 0")
+    gain = float(alpha) + max(0.0, val)
+    n = m.n
+    a_int = _as_integer(alpha)
+    shift = a_int if a_int is not None else alpha
+    top = float(order) + 1e-12
+    # Row i of M U stops at the least truncation order in row i of M.
+    caps = [min([float(order)] + [float(s.truncation_order) for s in row]) for row in m.grid]
+    cap_lo, cap_hi = min(caps), max(caps)
+    zero_row = [0] * n
+
+    def by_exponent(mats):
+        return sorted(((float(e), e, mat) for e, mat in mats.items()), key=itemgetter(0))
+
+    m_mats = _exponent_matrices(m)
+    m_terms = by_exponent(m_mats)
+    # After the first step U is float when the integral factors are.
+    later_terms = by_exponent(_real_float_copy(m_mats)) if a_int is None else m_terms
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    current = [(0, 0.0, identity)]  # (exponent, its float, coefficient matrix)
+    total = {0: identity}
+    prev_val = 0.0
+    for _ in range(n_iter):
+        # pair up the powers of M and U by the exponent of their product
+        groups = {}
+        for emf, em, mm in m_terms:
+            for eu, euf, um in current:
+                ef = emf + euf
+                if _above(ef, cap_hi):
+                    continue
+                kept = mm
+                if _above(ef, cap_lo):
+                    kept = [zero_row if _above(ef, cap) else row for row, cap in zip(mm, caps)]
+                groups.setdefault(em + eu, []).append((kept, um))
+        m_terms = later_terms
+        nxt = []
+        for e, pairs in groups.items():
+            ex = e + shift
+            exf = float(ex)
+            if exf > top:
+                continue
+            factor = _rl_integral_factor(e, a_int, alpha)
+            mat = [
+                [0 if _negligible(v := c * factor) else v for c in row]
+                for row in _pair_products(pairs, n)
+            ]
+            if any(map(any, mat)):
+                nxt.append((ex, exf, mat))
+        if not nxt:
+            break
+        val = min(exf for _, exf, _ in nxt)
+        if val < prev_val + gain - 1e-12:
+            raise ArithmeticError("dyson iterate valuation failed to grow")
+        prev_val = val
+        for e, _, mat in nxt:
+            cur = total.get(e)
+            total[e] = mat if cur is None else _mat_add(cur, mat)
+        if prev_val > float(order):
+            break
+        current = nxt
+    return _from_exponent_matrices(total, n, order)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+def _add_scaled(out: dict, key, mat, c) -> None:
+    # out[key] += mat * c, in place, each entry as out[key] + (x * c)
+    cur = out.get(key)
+    if cur is None:
+        out[key] = [[x * c for x in row] for row in mat]
+        return
+    for cur_row, row in zip(cur, mat):
+        cur_row[:] = [u + x * c for u, x in zip(cur_row, row)]
 
 
 def _dyson_literal(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
@@ -381,81 +467,63 @@ def _dyson_literal(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
     Integrands live in the two-parameter basis t^a (t - s)^q, which is
     closed under the three moves needed: multiplying by integer powers of
     s, convolving against (t - s)^(alpha-1), and evaluating at s = t.
+    Every a and q is a sum of integers and alphas, so the state keys them
+    as integers (A, Q) in units of 1/d, with alpha = D/d in lowest terms.
     """
     af = Fraction(alpha)
+    big_d, d = af.numerator, af.denominator
     inv_g = Fraction(1) if af == 1 else recip_gamma(float(alpha))
+    top = float(order) + 1e-12
     # integer-exponent monomials of M, as matrices
     monomials = {}
-    for i in range(m.n):
-        for j in range(m.n):
-            for e, c in m.entry(i, j).terms:
-                ef = float(e)
-                if ef < 0 or ef != math.floor(ef):
-                    raise DomainError(
-                        "the literal dyson variant needs integer exponents in M"
-                    )
-                k = int(ef)
-                mat = monomials.setdefault(
-                    k, [[0 for _ in range(m.n)] for _ in range(m.n)]
-                )
-                mat[i][j] = mat[i][j] + c
+    for e, mat in _exponent_matrices(m).items():
+        ef = float(e)
+        if ef < 0 or ef != math.floor(ef):
+            raise DomainError(
+                "the literal dyson variant needs integer exponents in M"
+            )
+        monomials[int(ef)] = mat
+    # s^k expands as sum_i C(k,i) (-1)^i t^(k-i) (t-s)^i
+    binomials = {k: [(-1) ** i * math.comb(k, i) for i in range(k + 1)] for k in monomials}
+    # After the first step the state is float when 1/Gamma(alpha) is.
+    later = _real_float_copy(monomials) if isinstance(inv_g, float) else monomials
 
     def integrate(state):
         # t^a (t-s)^q  ->  inv_g/(alpha+q) * [ t^(a+alpha+q) - t^a (t-s)^(alpha+q) ]
         out = {}
         for (a, q), mat in state.items():
-            w = inv_g / (af + q)
-            for key, sgn in (((a + af + q, Fraction(0)), 1), ((a, af + q), -1)):
-                if float(key[0] + key[1]) > float(order) + 1e-12:
-                    continue
-                cur = out.get(key)
-                add = _mat_scale(mat, sgn * w)
-                out[key] = add if cur is None else _mat_add(cur, add)
+            if (a + big_d + q) / d > top:
+                continue
+            w = inv_g / Fraction(big_d + q, d)
+            _add_scaled(out, (a + big_d + q, 0), mat, w)
+            _add_scaled(out, (a, big_d + q), mat, -w)
         return out
 
-    def left_multiply(state):
-        # s^k expands as sum_i C(k,i) (-1)^i t^(k-i) (t-s)^i
+    def left_multiply(state, mons):
         out = {}
-        for k, mk in monomials.items():
-            for (a, q), mat in state.items():
-                prod = _mat_mul(mk, mat)
-                for i in range(k + 1):
-                    key = (a + k - i, q + i)
-                    if float(key[0] + key[1]) > float(order) + 1e-12:
-                        continue
-                    add = _mat_scale(prod, math.comb(k, i) * Fraction((-1) ** i))
-                    cur = out.get(key)
-                    out[key] = add if cur is None else _mat_add(cur, add)
+        columns = {key: list(zip(*mat)) for key, mat in state.items()}
+        for k, mk in mons.items():
+            for (a, q), cols in columns.items():
+                if (a + q + k * d) / d > top:
+                    continue
+                prod = [[sum(map(mul, row, col)) for col in cols] for row in mk]
+                for i, c in enumerate(binomials[k]):
+                    _add_scaled(out, (a + (k - i) * d, q + i * d), prod, c)
         return out
-
-    def top_exponents(state):
-        # evaluate at s = t: only q = 0 survives
-        rows = {}
-        for (a, q), mat in state.items():
-            if q == 0:
-                rows[a] = mat
-        return rows
 
     ident = [[Fraction(1) if i == j else Fraction(0) for j in range(m.n)] for i in range(m.n)]
-    collected = {Fraction(0): ident}
-    state = {(Fraction(0), Fraction(0)): ident}
+    collected = {0: ident}
+    state = {(0, 0): ident}
+    mons = monomials
     for _ in range(n_iter):
-        state = integrate(left_multiply(state))
+        state = integrate(left_multiply(state, mons))
+        mons = later
         if not state:
             break
-        for a, mat in top_exponents(state).items():
-            cur = collected.get(a)
-            collected[a] = mat if cur is None else _mat_add(cur, mat)
-
-    grids = [[[] for _ in range(m.n)] for _ in range(m.n)]
-    for a, mat in collected.items():
-        for i in range(m.n):
-            for j in range(m.n):
-                if mat[i][j] != 0:
-                    grids[i][j].append((a, mat[i][j]))
-    return MatrixSeries(
-        [
-            [FracSeries(grids[i][j], order, truncated=True) for j in range(m.n)]
-            for i in range(m.n)
-        ]
+        for (a, q), mat in state.items():
+            if q == 0:  # evaluate at s = t: only q = 0 survives
+                cur = collected.get(a)
+                collected[a] = mat if cur is None else _mat_add(cur, mat)
+    return _from_exponent_matrices(
+        {Fraction(a, d): mat for a, mat in collected.items()}, m.n, order
     )

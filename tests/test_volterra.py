@@ -9,6 +9,7 @@ noncommuting evolution.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -245,15 +246,6 @@ def test_matrix_series_validates_shape():
         MatrixSeries([[1, 0], [0, 1]])
 
 
-def test_matrix_series_matmul_and_identity():
-    m = MatrixSeries.constant([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]], 10)
-    one = MatrixSeries.identity(2, 10)
-    prod = m @ one
-    assert matrix_series_max_deviation(prod, m) == 0.0
-    sq = m @ m
-    assert sq.entry(0, 1).coeff(0) == 4
-
-
 # -- time-ordered evolution --------------------------------------------------------
 
 
@@ -374,6 +366,93 @@ def test_dyson_literal_requires_integer_exponents():
     grid = [[FracSeries.monomial(Fraction(1, 2), 1, truncation_order=5)]]
     with pytest.raises(DomainError):
         dyson_evolution_operator(MatrixSeries(grid), 0.5, 3, 5, variant="literal")
+
+
+def _dyson_reference(grid, alpha, n_iter, order):
+    # U_{n+1} = I^alpha [M U_n], U_0 = 1, entry by entry from the public
+    # series operations: the Cauchy products of row i of M with column j of
+    # U, summed with +, integrated and clipped at `order`.
+    n = len(grid)
+    current = [[FracSeries.constant(int(i == j), order) for j in range(n)] for i in range(n)]
+    total = current
+    for _ in range(n_iter):
+        nxt = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = FracSeries.zero()
+                for k in range(n):
+                    acc = acc + series_mul(grid[i][k], current[k][j])
+                row.append(clip(rl_integral(acc, alpha), order))
+            nxt.append(row)
+        if all(s.is_zero() for row in nxt for s in row):
+            break
+        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, nxt)]
+        current = nxt
+    return [[clip(s, order) for s in row] for row in total]
+
+
+def _random_generator(rng, n, exponents, order):
+    def entry():
+        terms = [(e, Fraction(rng.randint(-9, 9), rng.randint(1, 7))) for e in exponents]
+        return FracSeries(terms, order)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def _assert_order_and_flag(U, order):
+    for row in U.grid:
+        for s in row:
+            assert s.truncation_order == order and s.truncated
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dyson_time_dependent_matches_entrywise_reference_exactly(n):
+    rng = random.Random(f"dyson-exact-{n}")
+    for exponents in ((0, 1), (0, 1, 2), (1, 3)):
+        order = 7
+        grid = _random_generator(rng, n, exponents, order)
+        U = dyson_evolution_operator(MatrixSeries(grid), 1, 30, order)
+        want = _dyson_reference(grid, 1, 30, order)
+        for i in range(n):
+            for j in range(n):
+                assert U.entry(i, j) == want[i][j]
+                assert all(isinstance(c, (int, Fraction)) for _, c in U.entry(i, j).terms)
+        _assert_order_and_flag(U, order)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(3, 4)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_dyson_fractional_time_dependent_matches_entrywise_reference(alpha, n):
+    rng = random.Random(f"dyson-frac-{alpha}-{n}")
+    for exponents in ((0, 1), (0, Fraction(1, 2), 2)):
+        order = 5
+        grid = _random_generator(rng, n, exponents, order)
+        U = dyson_evolution_operator(MatrixSeries(grid), alpha, 30, order)
+        want = _dyson_reference(grid, alpha, 30, order)
+        for i in range(n):
+            for j in range(n):
+                got, ref = U.entry(i, j).terms, want[i][j].terms
+                assert [e for e, _ in got] == [e for e, _ in ref]
+                for (_, a), (_, b) in zip(got, ref):
+                    assert abs(a - b) <= 1e-13 * max(abs(a), abs(b))
+        _assert_order_and_flag(U, order)
+
+
+def test_dyson_keeps_the_row_truncation_of_the_generator():
+    # M[0][1] is known only through t^3: row 0 of M U stops there, as the
+    # Cauchy product of two series stops at the lower truncation order.
+    order = 6
+    rng = random.Random("dyson-row-cap")
+    grid = _random_generator(rng, 2, (0, 1), order)
+    grid[0][1] = FracSeries([(0, Fraction(2, 3)), (1, Fraction(-5, 4))], 3)
+    U = dyson_evolution_operator(MatrixSeries(grid), 1, 30, order)
+    want = _dyson_reference(grid, 1, 30, order)
+    for i in range(2):
+        for j in range(2):
+            assert U.entry(i, j) == want[i][j]
+    assert max(float(e) for e, _ in U.entry(0, 0).terms) <= 4
+    _assert_order_and_flag(U, order)
 
 
 def test_dyson_rejects_bad_inputs():
