@@ -46,6 +46,11 @@ def _same_exponent(a: float, b: float) -> bool:
     return abs(a - b) <= EXPONENT_MERGE_RTOL * max(1.0, abs(a))
 
 
+def _above(ef: float, cap: float) -> bool:
+    """The truncation rule: ef is past cap and not the same exponent as it."""
+    return ef > cap and not _same_exponent(cap, ef)
+
+
 def _negligible(c) -> bool:
     t = type(c)
     if t is int or t is Fraction:
@@ -98,7 +103,7 @@ class FracSeries:
         for ef, e, c in merged:
             if _negligible(c):
                 continue
-            if ef > order_key and not _same_exponent(order_key, ef):
+            if _above(ef, order_key):
                 dropped_any = True
                 continue
             kept.append((e, c))
@@ -241,7 +246,7 @@ def series_mul(a: FracSeries, b: FracSeries) -> FracSeries:
         eaf = float(ea)
         for eb, ebf, cb in b_terms:
             ef = eaf + ebf
-            if ef > cap and not _same_exponent(cap, ef):
+            if _above(ef, cap):
                 # b's exponents increase, so the rest of the row is past the cap too
                 dropped = True
                 break

@@ -17,6 +17,12 @@ matrix of its coefficients.  One step then costs one matrix product per
 pair of exponents and one integral factor per exponent, where the
 entrywise form cost n^3 series products.  A MatrixSeries (a grid of
 FracSeries) is read into the map on entry and built from it on exit.
+
+A scalar Volterra-Neumann problem is the 1 x 1 case of that recursion,
+started from y0 instead of the identity, so both VN solvers and the
+recursion variant run one Neumann loop, `_neumann`.  Every test of an
+exponent against a truncation order here is the rule of FracSeries,
+`series._above`: past the order and not the same exponent as it.
 """
 
 from __future__ import annotations
@@ -31,25 +37,13 @@ from .errors import DomainError
 from .gammafn import beta, recip_gamma
 from .series import (
     FracSeries,
+    _above,
     _as_integer,
     _negligible,
     _rl_integral_factor,
-    _same_exponent,
-    laguerre_antiderivative,
-    rl_integral,
     series_eval,
     series_max_deviation,
-    series_mul,
 )
-
-
-def _clip(s: FracSeries, order) -> FracSeries:
-    cap = float(order)
-    return s.map_terms(
-        lambda e, c: (e, c) if float(e) <= cap + 1e-12 else None,
-        truncation_order=order,
-        truncated=True,
-    )
 
 
 @dataclass(frozen=True)
@@ -63,42 +57,32 @@ class VNState:
         return self.iterates[n]
 
 
-def _check_valuation_growth(prev, new, gain, label: str):
-    # Each iteration must raise the valuation by at least `gain`; a
-    # violation means the kernel lost its smoothing and the expansion is
-    # not converging formally.
-    pv, nv = prev.valuation(), new.valuation()
-    if math.isinf(float(nv)):
-        return
-    if float(nv) < float(pv) + float(gain) - 1e-12:
-        raise ArithmeticError(
-            f"{label}: iterate valuation {nv} grew less than {gain} over {pv}"
-        )
+def _vn_solve(f: FracSeries, y0, shift, factor, n_iter: int, order, label: str) -> VNState:
+    # The scalar problem is the 1 x 1 Dyson recursion started from y0.
+    steps, total = _neumann(MatrixSeries([[f]]), [[y0]], shift, factor, n_iter, order, label)
+
+    def series(pairs):
+        return FracSeries([(e, mat[0][0]) for e, mat in pairs], order, truncated=True)
+
+    iterates = [FracSeries.constant(y0, order)]
+    iterates += [series((e, mat) for e, _, mat in step) for step in steps]
+    return VNState(tuple(iterates), series(total.items()))
 
 
 def laguerre_vn_solve(f: FracSeries, y0, n_iter: int, order) -> VNState:
     """Neumann iteration for the Laguerre-derivative growth problem.
 
     Solves (t d/dt t d/dt-style) Y' = f Y, Y(0) = y0, by iterating
-    Y_{n+1} = inverse-Laguerre-derivative of (f Y_n).  Exact in rationals
-    for rational f.  Stops early once an iterate's valuation passes
-    `order`; the partial sum is truncated there as well.
+    Y_{n+1} = inverse-Laguerre-derivative of (f Y_n), which takes
+    c t^e to c t^(e+1) / (e+1)^2.  Exact in rationals for rational f.
+    Stops early once an iterate has no term up to `order`; the partial sum
+    is truncated there as well.
     """
     if not float(f.valuation()) > -1.0:
         raise DomainError("laguerre_vn_solve needs f exponents > -1")
-    current = FracSeries.constant(y0, order)
-    iterates = [current]
-    total = current
-    gain = 1 + f.valuation() if not math.isinf(float(f.valuation())) else 1
-    for _ in range(n_iter):
-        nxt = _clip(laguerre_antiderivative(series_mul(f, current)), order)
-        _check_valuation_growth(current, nxt, gain, "laguerre_vn_solve")
-        iterates.append(nxt)
-        if nxt.is_zero() or float(nxt.valuation()) > float(order):
-            break
-        total = total + nxt
-        current = nxt
-    return VNState(tuple(iterates), _clip(total, order))
+    return _vn_solve(
+        f, y0, 1, lambda e: Fraction(1) / ((e + 1) * (e + 1)), n_iter, order, "laguerre_vn_solve"
+    )
 
 
 def fractional_vn_solve(f: FracSeries, alpha, y0, n_iter: int, order) -> VNState:
@@ -113,20 +97,14 @@ def fractional_vn_solve(f: FracSeries, alpha, y0, n_iter: int, order) -> VNState
         raise DomainError(f"fractional_vn_solve needs alpha in (0, 1], got {alpha}")
     if not float(f.valuation()) > -1.0:
         raise DomainError("fractional_vn_solve needs f exponents > -1")
-    current = FracSeries.constant(y0, order)
-    iterates = [current]
-    total = current
-    fval = float(f.valuation())
-    gain = float(alpha) + (fval if math.isfinite(fval) else 0.0)
-    for _ in range(n_iter):
-        nxt = _clip(rl_integral(series_mul(f, current), alpha), order)
-        _check_valuation_growth(current, nxt, gain, "fractional_vn_solve")
-        iterates.append(nxt)
-        if nxt.is_zero() or float(nxt.valuation()) > float(order):
-            break
-        total = total + nxt
-        current = nxt
-    return VNState(tuple(iterates), _clip(total, order))
+    return _vn_solve(f, y0, *_rl_kernel(alpha), n_iter, order, "fractional_vn_solve")
+
+
+def _rl_kernel(alpha):
+    """(shift, factor) of I^alpha: c t^e -> c factor(e) t^(e + shift)."""
+    a_int = _as_integer(alpha)
+    shift = alpha if a_int is None else a_int
+    return shift, lambda e: _rl_integral_factor(e, a_int, alpha)
 
 
 def fractional_vn_monomial_closed_form(n: int, alpha, t):
@@ -221,7 +199,7 @@ class MatrixSeries:
     def __init__(self, grid: Sequence[Sequence[FracSeries]]):
         rows = [list(row) for row in grid]
         n = len(rows)
-        if any(len(row) != n for row in rows):
+        if not n or any(len(row) != n for row in rows):
             raise DomainError("MatrixSeries needs a square grid")
         for row in rows:
             for s in row:
@@ -259,12 +237,14 @@ class MatrixSeries:
 
 
 def matrix_series_max_deviation(a: MatrixSeries, b: MatrixSeries, up_to=None) -> float:
+    if a.n != b.n:
+        raise DomainError(f"matrix_series_max_deviation needs equal sizes, got {a.n} and {b.n}")
     worst = 0.0
     for i in range(a.n):
         for j in range(a.n):
             x, y = a.entry(i, j), b.entry(i, j)
             if up_to is not None:
-                x, y = _clip(x, up_to), _clip(y, up_to)
+                x, y = (FracSeries(s.terms, up_to, truncated=True) for s in (x, y))
             worst = max(worst, series_max_deviation(x, y))
     return worst
 
@@ -342,15 +322,14 @@ def dyson_evolution_operator(
     if not 0.0 < float(alpha) <= 1.0:
         raise DomainError(f"dyson needs alpha in (0, 1], got {alpha}")
     if variant == "recursion":
-        return _dyson_recursion(m, alpha, n_iter, order)
+        if float(m.valuation()) < 0.0:
+            raise DomainError("dyson needs M exponents >= 0")
+        identity = [[int(i == j) for j in range(m.n)] for i in range(m.n)]
+        _, total = _neumann(m, identity, *_rl_kernel(alpha), n_iter, order, "dyson_evolution_operator")
+        return _from_exponent_matrices(total, m.n, order)
     if variant == "literal":
         return _dyson_literal(m, alpha, n_iter, order)
     raise DomainError(f"unknown dyson variant {variant!r}")
-
-
-def _above(ef: float, cap: float) -> bool:
-    # The truncation test of FracSeries: past the cap and not equal to it.
-    return ef > cap and not _same_exponent(cap, ef)
 
 
 def _pair_products(pairs, n):
@@ -385,17 +364,22 @@ def _mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _dyson_recursion(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
-    val = float(m.valuation())
-    if val < 0.0:
-        raise DomainError("dyson needs M exponents >= 0")
-    gain = float(alpha) + max(0.0, val)
+def _neumann(m: MatrixSeries, start, shift, factor, n_iter: int, order, label: str):
+    """The Neumann iteration U_{k+1} = K[M U_k] on the exponent map.
+
+    K takes c t^e to c factor(e) t^(e + shift), and U_0 is the constant
+    matrix `start`.  Returns the iterates after U_0, each a list of
+    (exponent, its float, coefficient matrix), and their sum with U_0 as
+    an exponent map.  When the run stops on an empty iterate, that empty
+    list is the last iterate.  Each iterate's valuation must exceed the
+    last one's by shift + valuation(M); less means the kernel lost its
+    smoothing, and the run raises.
+    """
     n = m.n
-    a_int = _as_integer(alpha)
-    shift = a_int if a_int is not None else alpha
-    top = float(order) + 1e-12
+    gain = float(shift) + float(m.valuation())
+    cap = float(order)
     # Row i of M U stops at the least truncation order in row i of M.
-    caps = [min([float(order)] + [float(s.truncation_order) for s in row]) for row in m.grid]
+    caps = [min([cap] + [float(s.truncation_order) for s in row]) for row in m.grid]
     cap_lo, cap_hi = min(caps), max(caps)
     zero_row = [0] * n
 
@@ -404,11 +388,12 @@ def _dyson_recursion(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries
 
     m_mats = _exponent_matrices(m)
     m_terms = by_exponent(m_mats)
-    # After the first step U is float when the integral factors are.
-    later_terms = by_exponent(_real_float_copy(m_mats)) if a_int is None else m_terms
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    current = [(0, 0.0, identity)]  # (exponent, its float, coefficient matrix)
-    total = {0: identity}
+    # A fractional shift means Gamma-quotient factors, so U is float from
+    # the first step on and M is taken as a float copy after it.
+    later_terms = by_exponent(_real_float_copy(m_mats)) if _as_integer(shift) is None else m_terms
+    current = [(0, 0.0, start)]
+    total = {0: start}
+    steps = []
     prev_val = 0.0
     for _ in range(n_iter):
         # pair up the powers of M and U by the exponent of their product
@@ -420,35 +405,36 @@ def _dyson_recursion(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries
                     continue
                 kept = mm
                 if _above(ef, cap_lo):
-                    kept = [zero_row if _above(ef, cap) else row for row, cap in zip(mm, caps)]
+                    kept = [zero_row if _above(ef, c) else row for row, c in zip(mm, caps)]
                 groups.setdefault(em + eu, []).append((kept, um))
         m_terms = later_terms
         nxt = []
         for e, pairs in groups.items():
             ex = e + shift
             exf = float(ex)
-            if exf > top:
+            if _above(exf, cap):
                 continue
-            factor = _rl_integral_factor(e, a_int, alpha)
+            w = factor(e)
             mat = [
-                [0 if _negligible(v := c * factor) else v for c in row]
+                [0 if _negligible(v := c * w) else v for c in row]
                 for row in _pair_products(pairs, n)
             ]
             if any(map(any, mat)):
                 nxt.append((ex, exf, mat))
+        steps.append(nxt)
         if not nxt:
             break
         val = min(exf for _, exf, _ in nxt)
         if val < prev_val + gain - 1e-12:
-            raise ArithmeticError("dyson iterate valuation failed to grow")
+            raise ArithmeticError(
+                f"{label}: iterate valuation {val} grew less than {gain} over {prev_val}"
+            )
         prev_val = val
         for e, _, mat in nxt:
             cur = total.get(e)
             total[e] = mat if cur is None else _mat_add(cur, mat)
-        if prev_val > float(order):
-            break
         current = nxt
-    return _from_exponent_matrices(total, n, order)
+    return steps, total
 
 
 def _add_scaled(out: dict, key, mat, c) -> None:
@@ -473,7 +459,7 @@ def _dyson_literal(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
     af = Fraction(alpha)
     big_d, d = af.numerator, af.denominator
     inv_g = Fraction(1) if af == 1 else recip_gamma(float(alpha))
-    top = float(order) + 1e-12
+    cap = float(order)
     # integer-exponent monomials of M, as matrices
     monomials = {}
     for e, mat in _exponent_matrices(m).items():
@@ -492,7 +478,7 @@ def _dyson_literal(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
         # t^a (t-s)^q  ->  inv_g/(alpha+q) * [ t^(a+alpha+q) - t^a (t-s)^(alpha+q) ]
         out = {}
         for (a, q), mat in state.items():
-            if (a + big_d + q) / d > top:
+            if _above((a + big_d + q) / d, cap):
                 continue
             w = inv_g / Fraction(big_d + q, d)
             _add_scaled(out, (a + big_d + q, 0), mat, w)
@@ -504,7 +490,7 @@ def _dyson_literal(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
         columns = {key: list(zip(*mat)) for key, mat in state.items()}
         for k, mk in mons.items():
             for (a, q), cols in columns.items():
-                if (a + q + k * d) / d > top:
+                if _above((a + q + k * d) / d, cap):
                     continue
                 prod = [[sum(map(mul, row, col)) for col in cols] for row in mk]
                 for i, c in enumerate(binomials[k]):

@@ -24,6 +24,7 @@ from peocalc.series import (
     rl_derivative,
     rl_integral,
     series_eval,
+    series_max_deviation,
     series_mul,
 )
 from peocalc.volterra import (
@@ -225,6 +226,40 @@ def test_fractional_rejects_bad_alpha():
             fractional_vn_solve(f, a, 1, 5, 10)
 
 
+def test_fractional_float_alpha_keeps_the_iterate_at_the_order():
+    # With alpha = 0.2 the fifth iterate's exponent rounds to
+    # 6.000000000000001; it is the same exponent as the order 6, so it is
+    # kept and summed, as it is for the exact alpha = 1/5.
+    f = FracSeries.monomial(1, -1)
+    got = fractional_vn_solve(f, 0.2, 1, 40, 6)
+    want = fractional_vn_solve(f, Fraction(1, 5), 1, 40, 6)
+    assert len(got.iterates) - 1 == len(want.iterates) - 1 == 6
+    assert got.partial_sum.coeff(6) != 0
+    assert [float(e) for e, _ in got.partial_sum.terms] == pytest.approx(
+        [float(e) for e, _ in want.partial_sum.terms], abs=1e-14
+    )
+    assert series_max_deviation(got.partial_sum, want.partial_sum) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "terms, alpha, n_iter, order",
+    [
+        ([(1, -1)], 0.2, 40, 6),
+        ([(1, -1)], Fraction(1, 2), 40, 8),
+        ([(0, Fraction(2, 3)), (2, Fraction(-1, 4))], Fraction(3, 4), 40, 7),
+        ([(0, Fraction(2, 3)), (2, Fraction(-1, 4))], 1, 40, 7),
+        ([(0, 0.6), (Fraction(1, 2), -1.3), (2, 0.25)], 0.7, 40, 6),
+        ([(1, 1.5)], 0.45, 3, 12),
+    ],
+)
+def test_fractional_vn_is_the_one_by_one_dyson_recursion(terms, alpha, n_iter, order):
+    f = FracSeries(terms)
+    vn = fractional_vn_solve(f, alpha, 1, n_iter, order).partial_sum
+    dyson = dyson_evolution_operator(MatrixSeries([[f]]), alpha, n_iter, order).entry(0, 0)
+    assert vn == dyson
+    assert [type(c) for _, c in vn.terms] == [type(c) for _, c in dyson.terms]
+
+
 def test_convolution_kernel_equals_termwise_rule():
     # int_0^t tau^g (t-tau)^(a-1) dtau / G(a) == G(g+1)/G(g+a+1) t^(g+a),
     # checked against adaptive quadrature with the algebraic weight.
@@ -244,6 +279,16 @@ def test_matrix_series_validates_shape():
         MatrixSeries([[FracSeries.constant(1)]*2])
     with pytest.raises(DomainError):
         MatrixSeries([[1, 0], [0, 1]])
+    with pytest.raises(DomainError, match="square grid"):
+        MatrixSeries([])
+
+
+def test_matrix_series_max_deviation_rejects_a_size_mismatch():
+    two = MatrixSeries.constant([[1, 2], [3, 4]])
+    three = MatrixSeries.constant([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
+    for a, b in ((two, three), (three, two)):
+        with pytest.raises(DomainError):
+            matrix_series_max_deviation(a, b)
 
 
 # -- time-ordered evolution --------------------------------------------------------
