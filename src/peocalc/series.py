@@ -157,7 +157,7 @@ class FracSeries:
         cap = math.inf if up_to is None else float(up_to)
         best = 0.0
         for e, c in self._terms:
-            if float(e) <= cap:
+            if not _above(float(e), cap):
                 best = max(best, abs(complex(c)))
         return best
 

@@ -179,10 +179,14 @@ def hermite3(n: int, x, y):
     """Third-order Hermite-Kampe de Feriet polynomial H_n^(3)(x, y).
 
     Finite sum n! sum_{3r <= n} x^(n-3r) y^r / ((n-3r)! r!); the generating
-    function is exp(t x + t^3 y).  Exact for exact inputs while n <= 170.
+    function is exp(t x + t^3 y).  Exact for exact inputs while n <= 170, summed
+    on integers for Fractions x = p/q, y = u/v: H_n(p v, q^3 v^2 u) / (q v)^n.
     """
     if n < 0:
         raise DomainError(f"hermite3 needs n >= 0, got {n}")
+    if n <= 170 and Fraction in {type(x), type(y)} <= {int, Fraction}:
+        p, q, u, v = x.numerator, x.denominator, y.numerator, y.denominator
+        return Fraction(hermite3(n, p * v, q**3 * v**2 * u), (q * v) ** n)
     total = 0
     for r in range(n // 3 + 1):
         total = total + _h3_coefficient(n, r) * x ** (n - 3 * r) * y**r

@@ -17,10 +17,14 @@ and both are enforced here by tests rather than assumed.
 Variable ids are plain integers, kept fresh by a per-expression
 VariableAllocator.  A given id must not appear in both the u and the v
 family of one term.
+
+Binomial sums take C(n, s)^2 and (n!)^2 from one table per n_max (floats for
+float or complex x: int * x rounds the int first) and each x^k, y^k or Gamma once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -154,14 +158,32 @@ def fio_eval_series(expr: UmbralSum | Sequence[UmbralTerm]):
 # -- pseudo-exponential binomials ---------------------------------------------
 
 
+def _laguerre_row(n: int, num) -> tuple:
+    return tuple(num(math.comb(n, s) ** 2) for s in range(n + 1))
+
+
+@functools.lru_cache(maxsize=4)
+def _laguerre_weights(n_max: int, num) -> tuple:
+    """Rows C(n, s)^2 and values (n!)^2 for n <= n_max, as num (int or float)."""
+    rows = tuple(_laguerre_row(n, num) for n in range(n_max + 1))
+    return rows, tuple(num(math.factorial(n) ** 2) for n in range(n_max + 1))
+
+
+def _binomial_row_sum(row, xp, yp):
+    """sum_s row[s] x^(n-s) y^s left to right, n = len(row) - 1, xp[k] = x^k."""
+    total = 0
+    for c, xk, ys in zip(row, xp[len(row) - 1 :: -1], yp):
+        total = total + c * xk * ys
+    return total
+
+
 def laguerre_binomial_pow(n: int, x, y):
     """(x (+)_l y)^n = sum_s C(n, s)^2 x^(n-s) y^s, exact for exact inputs."""
     if n < 0:
         raise DomainError(f"laguerre_binomial_pow needs n >= 0, got {n}")
-    total = 0
-    for s in range(n + 1):
-        total = total + math.comb(n, s) ** 2 * x ** (n - s) * y**s
-    return total
+    row = _laguerre_row(n, float if type(x) in (float, complex) else int)
+    xp, yp = ([z**k for k in range(n + 1)] for z in (x, y))
+    return _binomial_row_sum(row, xp, yp)
 
 
 def ml_binomial_pow(alpha: float, beta: float, n: int, x, y):
@@ -175,13 +197,15 @@ def ml_binomial_pow(alpha: float, beta: float, n: int, x, y):
     if n < 0:
         raise DomainError(f"ml_binomial_pow needs n >= 0, got {n}")
     a, b = float(alpha), float(beta)
-    for arg in [a * n + b] + [a * r + b for r in range(n + 1)]:
+    rg = []
+    for arg in [a * r + b for r in range(n + 1)]:
         if is_gamma_pole(arg):
             raise DomainError(f"Gamma pole at {arg} in ml_binomial_pow")
-    top = gamma(a * n + b)
+        rg.append(recip_gamma(arg))
+    top = gamma(a * n + b)  # the r = n argument, checked above
     total = 0
     for r in range(n + 1):
-        w = top * recip_gamma(a * r + b) * recip_gamma(a * (n - r) + b)
+        w = top * rg[r] * rg[n - r]
         total = total + math.comb(n, r) * w * x**r * y ** (n - r)
     return total
 
@@ -195,9 +219,11 @@ def laguerre_semigroup_check(x, y, n_max: int = 40, tol: float | None = None) ->
     from .special import laguerre_exp  # local import, no cycle at module load
 
     product = laguerre_exp(x).value * laguerre_exp(y).value
+    rows, norms = _laguerre_weights(n_max, float if type(x) in (float, complex) else int)
+    xp, yp = ([z**k for k in range(n_max + 1)] for z in (x, y))
     acc = 0
-    for n in range(n_max + 1):
-        acc = acc + laguerre_binomial_pow(n, x, y) / math.factorial(n) ** 2
+    for row, norm in zip(rows, norms):
+        acc = acc + _binomial_row_sum(row, xp, yp) / norm
     residual = abs(product - acc)
     if tol is not None and residual > tol:
         raise ArithmeticError(
@@ -215,18 +241,13 @@ def ml_semigroup_discrepancy(alpha: float, beta: float, n_max: int) -> list[dict
     measured tables, nothing is patched over.
     """
     a, b = float(alpha), float(beta)
+    g, rg = ([f(a * k + b) for k in range(n_max + 1)] for f in (gamma, recip_gamma))
     out = []
     for n in range(n_max + 1):
         for r in range(n + 1):
             k = n - r
-            product_coeff = recip_gamma(a * r + b) * recip_gamma(a * k + b)
-            binomial_coeff = (
-                math.comb(n, r)
-                * gamma(a * n + b)
-                * recip_gamma(a * r + b)
-                * recip_gamma(a * k + b)
-                * recip_gamma(a * n + b)
-            )
+            product_coeff = rg[r] * rg[k]
+            binomial_coeff = math.comb(n, r) * g[n] * rg[r] * rg[k] * rg[n]
             ratio = binomial_coeff / product_coeff if product_coeff != 0 else math.nan
             out.append(
                 {

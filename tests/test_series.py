@@ -64,6 +64,14 @@ def test_valuation_and_zero():
     assert FracSeries([(0.5, 1), (2, 1)]).valuation() == 0.5
 
 
+def test_max_abs_coeff_caps_with_the_truncation_rule():
+    # the constructor keeps t^6.000000000000001 as the order-6 term, so the
+    # cap at 6 must count it too
+    s = FracSeries([(1, 2.0), (6.000000000000001, 5.0)], 6)
+    assert s.max_abs_coeff(6) == 5.0
+    assert s.max_abs_coeff(5.5) == 2.0
+
+
 # -- add / mul ---------------------------------------------------------------
 
 

@@ -250,6 +250,39 @@ def test_hermite3_domain():
         hermite3(-1, 1.0, 1.0)
 
 
+def _reference_hermite3(n, x, y):
+    total = 0
+    for r in range(n // 3 + 1):
+        if n <= 170:
+            c = math.factorial(n) // (math.factorial(n - 3 * r) * math.factorial(r))
+        else:
+            c = math.exp(math.lgamma(n + 1.0) - math.lgamma(n - 3 * r + 1.0) - math.lgamma(r + 1.0))
+        total = total + c * x ** (n - 3 * r) * y**r
+    return total
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (3, -2),
+        (Fraction(3, 2), Fraction(-2, 5)),
+        (Fraction(-7, 9), Fraction(4, 1)),
+        (5, Fraction(1, 6)),
+        (Fraction(2, 7), -4),
+        (0, Fraction(3, 8)),
+        (True, Fraction(1, 2)),
+        (Fraction(5, 3), 1.25),
+    ],
+)
+def test_hermite3_exact_inputs_match_the_term_by_term_sum(x, y):
+    for n in range(31):
+        got, want = hermite3(n, x, y), _reference_hermite3(n, x, y)
+        assert got == want and type(got) is type(want), n
+    # past n = 170 the coefficients are floats, and the old route stays
+    got, want = hermite3(171, x, y), _reference_hermite3(171, x, y)
+    assert got == want and type(got) is type(want)
+
+
 # -- series builders -----------------------------------------------------------
 
 

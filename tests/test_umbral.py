@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peocalc.errors import ConvergenceError, DomainError
+from peocalc.gammafn import gamma, recip_gamma
 from peocalc.special import laguerre_exp
 from peocalc.umbral import (
     UmbralSum,
@@ -199,6 +200,9 @@ def test_ml_binomial_rejects_pole_arguments():
         ml_binomial_pow(1.0, 0.0, 3, 1.0, 1.0)
     with pytest.raises(DomainError):
         ml_binomial_pow(0.5, -1.0, 4, 1.0, 1.0)
+    # 0.5 r - 1.5 is a pole at r = n = 3 only: the Gamma(a n + b) argument
+    with pytest.raises(DomainError):
+        ml_binomial_pow(0.5, -1.5, 3, 1.0, 1.0)
 
 
 def test_ml_semigroup_discrepancy_tables():
@@ -228,3 +232,92 @@ def test_ml_semigroup_discrepancy_tables():
         assert math.isclose(row["ratio"], math.comb(n, r), rel_tol=1e-12)
         if n > 0 and 0 < r < n:
             assert not math.isclose(row["binomial"], row["product"], rel_tol=1e-6)
+
+
+# -- the binomial sums against the formulas their weight tables replaced -------
+
+
+def _reference_laguerre_binomial_pow(n, x, y):
+    total = 0
+    for s in range(n + 1):
+        total = total + math.comb(n, s) ** 2 * x ** (n - s) * y**s
+    return total
+
+
+def _reference_semigroup_residual(x, y, n_max):
+    product = laguerre_exp(x).value * laguerre_exp(y).value
+    acc = 0
+    for n in range(n_max + 1):
+        acc = acc + _reference_laguerre_binomial_pow(n, x, y) / math.factorial(n) ** 2
+    return abs(product - acc)
+
+
+def _reference_ml_binomial_pow(alpha, beta, n, x, y):
+    a, b = float(alpha), float(beta)
+    top = gamma(a * n + b)
+    total = 0
+    for r in range(n + 1):
+        w = top * recip_gamma(a * r + b) * recip_gamma(a * (n - r) + b)
+        total = total + math.comb(n, r) * w * x**r * y ** (n - r)
+    return total
+
+
+def _reference_ml_rows(alpha, beta, n_max):
+    a, b = float(alpha), float(beta)
+    out = []
+    for n in range(n_max + 1):
+        for r in range(n + 1):
+            k = n - r
+            product = recip_gamma(a * r + b) * recip_gamma(a * k + b)
+            binomial = (
+                math.comb(n, r)
+                * gamma(a * n + b)
+                * recip_gamma(a * r + b)
+                * recip_gamma(a * k + b)
+                * recip_gamma(a * n + b)
+            )
+            ratio = binomial / product
+            out.append({"r": r, "k": k, "product": product, "binomial": binomial, "ratio": ratio})
+    return out
+
+
+# |x| > 1 for the exact ones, so C(n, s)^2 x^k passes 2^53 and an int weight
+# rounded to a float too early would show
+_ONE_OF_EACH = {
+    "int": [-3, 2],
+    "Fraction": [Fraction(7, 3), Fraction(-5, 4)],
+    "float": [1.3, -0.7],
+    "complex": [complex(0.4, -1.1)],
+}
+_TYPE_PAIRS = [(tx, ty) for tx in _ONE_OF_EACH for ty in _ONE_OF_EACH]
+
+
+@pytest.mark.parametrize("tx, ty", _TYPE_PAIRS)
+def test_laguerre_binomial_sums_are_the_reference_formulas(tx, ty):
+    for x in _ONE_OF_EACH[tx]:
+        for y in _ONE_OF_EACH[ty]:
+            for n_max in (0, 7, 40):
+                got = laguerre_semigroup_check(x, y, n_max)
+                want = _reference_semigroup_residual(x, y, n_max)
+                assert got == want and type(got) is type(want), (x, y, n_max)
+            for n in (0, 1, 9, 25):
+                got = laguerre_binomial_pow(n, x, y)
+                want = _reference_laguerre_binomial_pow(n, x, y)
+                assert got == want and type(got) is type(want), (x, y, n)
+
+
+_SCALAR_GRID_ML_BINOM = [(0.5, 1.0, 20), (0.75, 1.5, 24), (1.5, 0.5, 28), (2.5, 1.0, 32),
+                         (0.4, 2.0, 20), (1.25, 1.0, 24), (0.5, 0.5, 28), (1.0, 1.0, 32)]
+
+
+@pytest.mark.parametrize("alpha, beta, n", _SCALAR_GRID_ML_BINOM)
+def test_ml_binomial_pow_is_the_reference_formula(alpha, beta, n):
+    for x, y in [(0.31, 0.87), (-0.5, -0.25), (0.6, -0.9), (Fraction(1, 3), 0.5), (0.2 + 0.1j, 0.4)]:
+        got = ml_binomial_pow(alpha, beta, n, x, y)
+        want = _reference_ml_binomial_pow(alpha, beta, n, x, y)
+        assert got == want and type(got) is type(want), (x, y)
+
+
+@pytest.mark.parametrize("alpha, beta, n_max", [(0.5, 1.0, 12), (1.5, 0.5, 10), (2.5, 1.0, 6)])
+def test_ml_semigroup_rows_are_the_reference_formula(alpha, beta, n_max):
+    assert ml_semigroup_discrepancy(alpha, beta, n_max) == _reference_ml_rows(alpha, beta, n_max)
