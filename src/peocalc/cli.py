@@ -193,55 +193,32 @@ def _emit(payload: dict, out_path) -> None:
 # -- eval --------------------------------------------------------------------
 
 
-def _eval_le(argv, cfg):
-    r = laguerre_exp(float(argv[0]), cfg)
-    return r.value, r.terms
-
-
-def _eval_lc(argv, cfg):
-    r = laguerre_cos(float(argv[0]), cfg)
-    return r.value, r.terms
-
-
-def _eval_ls(argv, cfg):
-    r = laguerre_sin(float(argv[0]), cfg)
-    return r.value, r.terms
-
-
-def _eval_le_nm(argv, cfg):
-    n, m = int(argv[0]), int(argv[1])
-    r = laguerre_e_nm(n, m, float(argv[2]), cfg)
-    return r.value, r.terms
-
-
-def _eval_ml(argv, cfg):
-    r = mittag_leffler(float(argv[0]), float(argv[1]), float(argv[2]), cfg)
-    return r.value, r.terms
-
-
-def _eval_h3(argv, cfg):
-    n = int(argv[0])
-    value = hermite3(n, float(argv[1]), float(argv[2]))
-    return value, n // 3 + 1
-
-
-EVAL_TABLE = {
-    "le": (1, _eval_le, "le x"),
-    "lc": (1, _eval_lc, "lc x"),
-    "ls": (1, _eval_ls, "ls x"),
-    "le_nm": (3, _eval_le_nm, "le_nm n m x"),
-    "ml": (3, _eval_ml, "ml alpha beta x"),
-    "h3": (3, _eval_h3, "h3 n x y"),
+EVAL_TABLE = {  # name: (function(*args, cfg) -> (value, terms), argument names)
+    "le": (laguerre_exp, "x"),
+    "lc": (laguerre_cos, "x"),
+    "ls": (laguerre_sin, "x"),
+    "le_nm": (laguerre_e_nm, "n m x"),
+    "ml": (mittag_leffler, "alpha beta x"),
+    "h3": (lambda n, x, y, cfg: (hermite3(n, x, y), n // 3 + 1), "n x y"),
 }
 
 
+def _eval_args(argv, names: list) -> list:
+    """n and m as ints, the rest as floats; a NaN or an infinity is a DomainError."""
+    vals = [int(a) if name in ("n", "m") else float(a) for name, a in zip(names, argv)]
+    if not all(map(math.isfinite, vals)):
+        raise DomainError(f"eval needs finite arguments, got {' '.join(argv)}")
+    return vals
+
+
 def cmd_eval(args) -> int:
-    arity, fn, usage = EVAL_TABLE[args.function]
-    if len(args.args) != arity:
-        print(f"usage: peocalc eval {usage}", file=sys.stderr)
+    fn, usage = EVAL_TABLE[args.function]
+    if len(args.args) != len(usage.split()):
+        print(f"usage: peocalc eval {args.function} {usage}", file=sys.stderr)
         return 2
     try:
-        value, terms = fn(args.args, _cfg_eval(args))
+        cfg = _cfg_eval(args)
+        value, terms = fn(*_eval_args(args.args, usage.split()), cfg)
     except ValueError as e:
         if isinstance(e, DomainError):
             raise

@@ -158,15 +158,22 @@ def fio_eval_series(expr: UmbralSum | Sequence[UmbralTerm]):
 # -- pseudo-exponential binomials ---------------------------------------------
 
 
+def _weights(values, num) -> tuple:
+    try:  # values as num, int or float; a float overflow is a ConvergenceError
+        return tuple(map(num, values))
+    except OverflowError:
+        raise ConvergenceError("a binomial weight overflows a float") from None
+
+
 def _laguerre_row(n: int, num) -> tuple:
-    return tuple(num(math.comb(n, s) ** 2) for s in range(n + 1))
+    return _weights((math.comb(n, s) ** 2 for s in range(n + 1)), num)
 
 
 @functools.lru_cache(maxsize=4)
 def _laguerre_weights(n_max: int, num) -> tuple:
     """Rows C(n, s)^2 and values (n!)^2 for n <= n_max, as num (int or float)."""
     rows = tuple(_laguerre_row(n, num) for n in range(n_max + 1))
-    return rows, tuple(num(math.factorial(n) ** 2) for n in range(n_max + 1))
+    return rows, _weights((math.factorial(n) ** 2 for n in range(n_max + 1)), num)
 
 
 def _binomial_row_sum(row, xp, yp):

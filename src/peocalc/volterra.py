@@ -23,6 +23,12 @@ started from y0 instead of the identity, so both VN solvers and the
 recursion variant run one Neumann loop, `_neumann`.  Every test of an
 exponent against a truncation order here is the rule of FracSeries,
 `series._above`: past the order and not the same exponent as it.
+
+Exact runs (`_neumann` with an integer shift and int or Fraction exponents
+and entries, `_dyson_literal` at alpha = 1 with such entries) hold each
+matrix as integer numerators over one positive denominator, (den, rows),
+reduced by one gcd a step, not one per Fraction product and sum; on exit
+nonzero entries are Fraction, zeros int 0.  Other runs keep their order.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from operator import itemgetter, mul
 from typing import Sequence
 
@@ -80,9 +87,11 @@ def laguerre_vn_solve(f: FracSeries, y0, n_iter: int, order) -> VNState:
     """
     if not float(f.valuation()) > -1.0:
         raise DomainError("laguerre_vn_solve needs f exponents > -1")
-    return _vn_solve(
-        f, y0, 1, lambda e: Fraction(1) / ((e + 1) * (e + 1)), n_iter, order, "laguerre_vn_solve"
-    )
+    def factor(e):  # one Fraction for an exact e, where Fraction(1) / k made two
+        k = (e + 1) * (e + 1)
+        return Fraction(1, k) if isinstance(k, (int, Fraction)) else Fraction(1) / k
+
+    return _vn_solve(f, y0, 1, factor, n_iter, order, "laguerre_vn_solve")
 
 
 def fractional_vn_solve(f: FracSeries, alpha, y0, n_iter: int, order) -> VNState:
@@ -261,20 +270,37 @@ def _exponent_matrices(m: MatrixSeries) -> dict:
     return mats
 
 
+def _types(mats) -> set:
+    return {type(c) for mat in mats for row in mat for c in row}
+
+
 def _real_float_copy(mats: dict) -> dict:
     """mats with float entries if all are int, Fraction or float, else mats.
 
     Fraction * float is float(Fraction) * float, so once the other factor
     is float the copy gives the same products, faster.
     """
-    if all(
-        type(c) in (int, Fraction, float)
-        for mat in mats.values()
-        for row in mat
-        for c in row
-    ):
+    if _types(mats.values()) <= {int, Fraction, float}:
         return {e: [[float(c) for c in row] for row in mat] for e, mat in mats.items()}
     return mats
+
+
+def _exact(mat):
+    """An int and Fraction matrix as (den, integer rows), den > 0."""
+    den = math.lcm(*(c.denominator for row in mat for c in row))
+    return den, [[c.numerator * (den // c.denominator) for c in row] for row in mat]
+
+
+def _reduced(mat):
+    """An exact matrix over its least denominator; a list matrix as given."""
+    if type(mat) is tuple and (g := math.gcd(mat[0], *(x for row in mat[1] for x in row))) > 1:
+        mat = mat[0] // g, [[x // g for x in row] for row in mat[1]]
+    return mat
+
+
+def _entries(mat):
+    """A matrix's coefficients: an exact one's as Fraction, or int 0 where zero."""
+    return [[x and Fraction(x, mat[0]) for x in row] for row in mat[1]] if type(mat) is tuple else mat
 
 
 def _from_exponent_matrices(mats: dict, n: int, order) -> MatrixSeries:
@@ -332,14 +358,31 @@ def dyson_evolution_operator(
     raise DomainError(f"unknown dyson variant {variant!r}")
 
 
-def _pair_products(pairs, n):
-    """The sum of A @ B over the (A, B) in pairs, one exponent's share of M U.
+def _product(a, b):
+    """A @ B, each entry summed over k in order; exact denominators multiply."""
+    if type(a) is tuple:
+        return a[0] * b[0], _product(a[1], b[1])
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _scaled(mat, w):
+    """An exact matrix times an int or Fraction w: numerators by its numerator, den by its denominator."""
+    p, q = w.as_integer_ratio()
+    return mat[0] * q, [[x * p for x in row] for row in mat[1]]
+
+
+def _pair_products(pairs, n, w):
+    """w times the sum of A @ B over the (A, B) in pairs: one exponent's K[M U].
 
     Entry (i, j) adds, for k = 0, 1, ..., the sum over the pairs of
-    A[i][k] B[k][j], leaving out zero factors, so that it rounds as the
-    entrywise Cauchy products of the series did, and a 0 standing for a
-    missing term never turns an exact sum into a float.
+    A[i][k] B[k][j], leaving out zero factors, to round as the entrywise
+    Cauchy products of the series did, and so that a 0 for a missing term
+    never makes an exact sum float; a negligible product with w is 0.
+    Exact products add over the lcm of their denominators and reduce.
     """
+    if type(pairs[0][0]) is tuple:
+        return _reduced(_scaled(reduce(_mat_add, [_product(a, b) for a, b in pairs]), w))
     out = []
     for i in range(n):
         rows = [(a[i], b) for a, b in pairs]
@@ -355,12 +398,15 @@ def _pair_products(pairs, n):
                         if y:
                             s = s + x * y
                 total = total + s
-            out_row.append(total)
+            out_row.append(0 if _negligible(v := total * w) else v)
         out.append(out_row)
     return out
 
 
 def _mat_add(a, b):
+    if type(a) is tuple:  # both over the lcm of the denominators
+        sa, sb = (den := math.lcm(a[0], b[0])) // a[0], den // b[0]
+        return den, [[x * sa + y * sb for x, y in zip(ra, rb)] for ra, rb in zip(a[1], b[1])]
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
@@ -387,12 +433,16 @@ def _neumann(m: MatrixSeries, start, shift, factor, n_iter: int, order, label: s
         return sorted(((float(e), e, mat) for e, mat in mats.items()), key=itemgetter(0))
 
     m_mats = _exponent_matrices(m)
+    # an integer shift (so 1) and exact exponents make every factor(e) a Fraction
+    types = _types([start, *m_mats.values()]) | {type(e) for e in m_mats}
+    if exact := _as_integer(shift) is not None and types <= {int, Fraction}:
+        m_mats = {e: _exact(mat) for e, mat in m_mats.items()}
     m_terms = by_exponent(m_mats)
     # A fractional shift means Gamma-quotient factors, so U is float from
     # the first step on and M is taken as a float copy after it.
     later_terms = by_exponent(_real_float_copy(m_mats)) if _as_integer(shift) is None else m_terms
-    current = [(0, 0.0, start)]
-    total = {0: start}
+    current = [(0, 0.0, _exact(start) if exact else start)]
+    total = {0: start}  # as given: exact runs have shift 1 and M's exponents > -1
     steps = []
     prev_val = 0.0
     for _ in range(n_iter):
@@ -405,7 +455,9 @@ def _neumann(m: MatrixSeries, start, shift, factor, n_iter: int, order, label: s
                     continue
                 kept = mm
                 if _above(ef, cap_lo):
-                    kept = [zero_row if _above(ef, c) else row for row, c in zip(mm, caps)]
+                    rows = mm[1] if exact else mm
+                    rows = [zero_row if _above(ef, c) else row for row, c in zip(rows, caps)]
+                    kept = (mm[0], rows) if exact else rows
                 groups.setdefault(em + eu, []).append((kept, um))
         m_terms = later_terms
         nxt = []
@@ -414,12 +466,8 @@ def _neumann(m: MatrixSeries, start, shift, factor, n_iter: int, order, label: s
             exf = float(ex)
             if _above(exf, cap):
                 continue
-            w = factor(e)
-            mat = [
-                [0 if _negligible(v := c * w) else v for c in row]
-                for row in _pair_products(pairs, n)
-            ]
-            if any(map(any, mat)):
+            mat = _pair_products(pairs, n, factor(e))
+            if any(map(any, mat[1] if exact else mat)):
                 nxt.append((ex, exf, mat))
         steps.append(nxt)
         if not nxt:
@@ -432,19 +480,25 @@ def _neumann(m: MatrixSeries, start, shift, factor, n_iter: int, order, label: s
         prev_val = val
         for e, _, mat in nxt:
             cur = total.get(e)
-            total[e] = mat if cur is None else _mat_add(cur, mat)
+            total[e] = mat if cur is None else _reduced(_mat_add(cur, mat))
         current = nxt
+    if exact:  # an iterate alone at its exponent is the sum there too: convert it once
+        done = {id(mat): _entries(mat) for step in steps for *_, mat in step}
+        steps = [[(e, ef, done[id(mat)]) for e, ef, mat in step] for step in steps]
+        total = {e: done.get(id(mat)) or _entries(mat) for e, mat in total.items()}
     return steps, total
 
 
 def _add_scaled(out: dict, key, mat, c) -> None:
-    # out[key] += mat * c, in place, each entry as out[key] + (x * c)
+    # out[key] += mat * c, a list matrix in place, each entry as out[key] + (x * c)
     cur = out.get(key)
-    if cur is None:
+    if type(mat) is tuple:
+        out[key] = _scaled(mat, c) if cur is None else _mat_add(cur, _scaled(mat, c))
+    elif cur is None:
         out[key] = [[x * c for x in row] for row in mat]
-        return
-    for cur_row, row in zip(cur, mat):
-        cur_row[:] = [u + x * c for u, x in zip(cur_row, row)]
+    else:
+        for cur_row, row in zip(cur, mat):
+            cur_row[:] = [u + x * c for u, x in zip(cur_row, row)]
 
 
 def _dyson_literal(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
@@ -455,6 +509,7 @@ def _dyson_literal(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
     s, convolving against (t - s)^(alpha-1), and evaluating at s = t.
     Every a and q is a sum of integers and alphas, so the state keys them
     as integers (A, Q) in units of 1/d, with alpha = D/d in lowest terms.
+    At alpha = 1 an int and Fraction M keeps the state exact, as (den, rows).
     """
     af = Fraction(alpha)
     big_d, d = af.numerator, af.denominator
@@ -469,6 +524,8 @@ def _dyson_literal(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
                 "the literal dyson variant needs integer exponents in M"
             )
         monomials[int(ef)] = mat
+    if exact := af == 1 and _types(monomials.values()) <= {int, Fraction}:
+        monomials = {k: _exact(mat) for k, mat in monomials.items()}
     # s^k expands as sum_i C(k,i) (-1)^i t^(k-i) (t-s)^i
     binomials = {k: [(-1) ** i * math.comb(k, i) for i in range(k + 1)] for k in monomials}
     # After the first step the state is float when 1/Gamma(alpha) is.
@@ -487,29 +544,28 @@ def _dyson_literal(m: MatrixSeries, alpha, n_iter: int, order) -> MatrixSeries:
 
     def left_multiply(state, mons):
         out = {}
-        columns = {key: list(zip(*mat)) for key, mat in state.items()}
         for k, mk in mons.items():
-            for (a, q), cols in columns.items():
+            for (a, q), mat in state.items():
                 if _above((a + q + k * d) / d, cap):
                     continue
-                prod = [[sum(map(mul, row, col)) for col in cols] for row in mk]
+                prod = _product(mk, mat)
                 for i, c in enumerate(binomials[k]):
                     _add_scaled(out, (a + (k - i) * d, q + i * d), prod, c)
         return out
 
     ident = [[Fraction(1) if i == j else Fraction(0) for j in range(m.n)] for i in range(m.n)]
     collected = {0: ident}
-    state = {(0, 0): ident}
+    state = {(0, 0): _exact(ident) if exact else ident}
     mons = monomials
     for _ in range(n_iter):
-        state = integrate(left_multiply(state, mons))
+        state = {key: _reduced(mat) for key, mat in integrate(left_multiply(state, mons)).items()}
         mons = later
         if not state:
             break
         for (a, q), mat in state.items():
             if q == 0:  # evaluate at s = t: only q = 0 survives
                 cur = collected.get(a)
-                collected[a] = mat if cur is None else _mat_add(cur, mat)
+                collected[a] = mat if cur is None else _reduced(_mat_add(cur, mat))
     return _from_exponent_matrices(
-        {Fraction(a, d): mat for a, mat in collected.items()}, m.n, order
+        {Fraction(a, d): _entries(mat) for a, mat in collected.items()}, m.n, order
     )

@@ -80,6 +80,16 @@ def test_eval_non_numeric_argument_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["h3", "3", "0.5", "nan"], ["le", "nan"], ["lc", "inf"], ["le_nm", "1", "2", "nan"], ["ml", "nan", "1", "0.5"]],
+)
+def test_eval_non_finite_argument_is_a_domain_error(argv, capsys):
+    rc, out, err = run_cli(["eval", *argv], capsys)
+    assert rc == 3 and out == ""
+    assert "finite" in err and "overflow" not in err
+
+
 # -- solve --------------------------------------------------------------
 
 

@@ -187,6 +187,16 @@ def test_laguerre_semigroup_tol_enforcement():
         laguerre_semigroup_check(0.7, -0.3, n_max=2, tol=1e-13)
 
 
+def test_float_weights_past_the_float_range_raise_convergence_error():
+    # (99!)^2 and C(517, 258)^2 exceed the largest float; exact inputs keep int weights
+    with pytest.raises(ConvergenceError):
+        laguerre_semigroup_check(0.5, 0.5, 99)
+    with pytest.raises(ConvergenceError):
+        laguerre_binomial_pow(517, 0.5, 0.5)
+    assert laguerre_semigroup_check(0.5, 0.5, 98) < 1e-12
+    assert laguerre_binomial_pow(517, 1, 1) == math.comb(1034, 517)
+
+
 def test_ml_binomial_degenerates_to_laguerre_binomial():
     x, y = 0.6, -1.25
     for n in range(8):

@@ -11,6 +11,7 @@ noncommuting evolution.
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from peocalc.errors import DomainError
 from peocalc.gammafn import beta, gamma, recip_gamma
 from peocalc.series import (
     FracSeries,
+    _above,
     rl_derivative,
     rl_integral,
     series_eval,
@@ -30,6 +32,9 @@ from peocalc.series import (
 from peocalc.volterra import (
     MatrixSeries,
     VNState,
+    _exponent_matrices,
+    _neumann,
+    _rl_kernel,
     cos_recursion_coeffs,
     cos_recursion_iterate,
     cosine_series,
@@ -384,7 +389,23 @@ def test_dyson_literal_variant_coincides_at_classical_order():
     m = _constant_matrix_series(rows, 8)
     lit = dyson_evolution_operator(m, 1, 10, 8, variant="literal")
     rec = dyson_evolution_operator(m, 1, 10, 8)
-    assert matrix_series_max_deviation(lit, rec, up_to=8) == 0.0
+    assert all(lit.entry(i, j) == rec.entry(i, j) for i in range(2) for j in range(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("exponents", [(0,), (0, 1), (0, 2)])
+def test_dyson_literal_equals_the_recursion_at_alpha_one(n, exponents):
+    # At alpha = 1 the nested kernels are the fixed-point iteration, so the
+    # two exact variants agree term by term, for constant and for t-dependent M.
+    rng = random.Random(f"literal-vs-recursion-{n}-{exponents}")
+    order = 6
+    m = MatrixSeries(_random_generator(rng, n, exponents, order))
+    lit = dyson_evolution_operator(m, 1, 30, order, variant="literal")
+    rec = dyson_evolution_operator(m, 1, 30, order)
+    for i in range(n):
+        for j in range(n):
+            assert lit.entry(i, j) == rec.entry(i, j)
+            assert lit.entry(i, j).terms
 
 
 def test_dyson_literal_second_term_constant_generator():
@@ -498,6 +519,106 @@ def test_dyson_keeps_the_row_truncation_of_the_generator():
             assert U.entry(i, j) == want[i][j]
     assert max(float(e) for e, _ in U.entry(0, 0).terms) <= 4
     _assert_order_and_flag(U, order)
+
+
+def _fraction_neumann(m, start, shift, factor, n_iter, order):
+    # The Neumann loop of the exponent map on Fraction entries, as it ran
+    # before exact matrices were held over one denominator: the reference.
+    n = m.n
+    cap = float(order)
+    caps = [min([cap] + [float(s.truncation_order) for s in row]) for row in m.grid]
+    m_terms = sorted(((float(e), e, mat) for e, mat in _exponent_matrices(m).items()), key=itemgetter(0))
+    current = [(0, 0.0, start)]
+    total = {0: start}
+    steps = []
+    for _ in range(n_iter):
+        groups = {}
+        for emf, em, mm in m_terms:
+            for eu, euf, um in current:
+                if not _above(emf + euf, max(caps)):
+                    kept = [[0] * n if _above(emf + euf, c) else row for row, c in zip(mm, caps)]
+                    groups.setdefault(em + eu, []).append((kept, um))
+        nxt = []
+        for e, pairs in groups.items():
+            if _above(float(e + shift), cap):
+                continue
+            w = factor(e)
+            mat = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    acc = 0
+                    for k in range(n):
+                        s = 0
+                        for a, b in pairs:
+                            if a[i][k] and b[k][j]:
+                                s = s + a[i][k] * b[k][j]
+                        acc = acc + s
+                    mat[i][j] = acc * w or 0
+            if any(map(any, mat)):
+                nxt.append((e + shift, float(e + shift), mat))
+        steps.append(nxt)
+        if not nxt:
+            break
+        for e, _, mat in nxt:
+            cur = total.get(e)
+            total[e] = mat if cur is None else [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(cur, mat)]
+        current = nxt
+    return steps, total
+
+
+def _typed(mats):
+    # exponent -> entries with the types of the nonzero ones, in map order;
+    # a zero entry may be int 0 or Fraction(0), and FracSeries drops both
+    return [(e, type(e), [(c, c and type(c)) for row in mat for c in row]) for e, mat in mats]
+
+
+def _laguerre_factor(e):
+    return Fraction(1) / ((e + 1) * (e + 1))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_neumann_equals_the_fraction_loop(seed):
+    # Integer matrices over one denominator give the values and the types the
+    # Fraction loop gives: constant and t-dependent generators of size 1 to 3,
+    # both kernels, identity and rational starts, one row stopping early.
+    rng = random.Random(f"exact-neumann-{seed}")
+    n = 1 + seed % 3
+    exponents = [(0,), (0, 1), (1, 3), (0, Fraction(1, 2), 2)][seed % 4]
+    order = rng.choice((5, 6, 8))
+    grid = _random_generator(rng, n, exponents, order)
+    if seed % 5 == 4:
+        grid[0][n - 1] = FracSeries([(0, Fraction(2, 3)), (1, Fraction(-5, 4))], order // 2)
+    if seed % 2:
+        start = [[int(i == j) for j in range(n)] for i in range(n)]
+        shift, factor = _rl_kernel(Fraction(1))
+    else:
+        start = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
+        shift, factor = 1, _laguerre_factor
+    m = MatrixSeries(grid)
+    steps, total = _neumann(m, start, shift, factor, 30, order, "test")
+    want_steps, want_total = _fraction_neumann(m, start, shift, factor, 30, order)
+    assert len(steps) == len(want_steps)
+    for got, want in zip(steps, want_steps):
+        assert _typed((e, mat) for e, _, mat in got) == _typed((e, mat) for e, _, mat in want)
+    assert _typed(total.items()) == _typed(want_total.items())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_vn_iterates_equal_the_fraction_loop(seed):
+    rng = random.Random(f"exact-vn-{seed}")
+    terms = [(e, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))) for e in sorted(rng.sample(range(4), 2))]
+    f, y0, order = FracSeries(terms), Fraction(rng.randint(1, 9), rng.randint(1, 9)), 12
+    st = laguerre_vn_solve(f, y0, 40, order)
+    want_steps, want_total = _fraction_neumann(MatrixSeries([[f]]), [[y0]], 1, _laguerre_factor, 40, order)
+    want = [FracSeries.constant(y0, order)]
+    want += [FracSeries([(e, mat[0][0]) for e, _, mat in step], order, truncated=True) for step in want_steps]
+    assert len(st.iterates) == len(want)
+    for got, ref in zip(st.iterates, want):
+        assert got == ref
+        assert [type(c) for _, c in got.terms] == [type(c) for _, c in ref.terms]
+    ref_sum = FracSeries([(e, mat[0][0]) for e, mat in want_total.items()], order, truncated=True)
+    assert st.partial_sum == ref_sum
+    assert [type(c) for _, c in st.partial_sum.terms] == [type(c) for _, c in ref_sum.terms]
 
 
 def test_dyson_rejects_bad_inputs():
