@@ -12,14 +12,17 @@ solver refuses its input (domain, convergence, conditioning).  Output
 is deterministic: the same invocation produces byte-identical bytes,
 floats are printed with repr-quality precision, CSV uses comma, dot
 and LF throughout.
+
+Start-up loads no `dataclasses`, `typing` or `json`: `solve` and `verify
+--json` import json, and the solve handlers `solvers` and `volterra`, on use.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -35,8 +38,6 @@ from .special import (
     laguerre_sin,
     mittag_leffler,
 )
-# solvers and volterra are imported by the solve handlers that use them,
-# so eval, plot-trig and verify never load them
 from . import verify as verify_mod
 
 
@@ -51,8 +52,6 @@ def _fmt(x: float) -> str:
 def _fmt_value(v) -> str:
     if isinstance(v, complex):
         return f"{_fmt(v.real)} {'+' if v.imag >= 0 else '-'} {_fmt(abs(v.imag))}j"
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return str(v.numerator)
     if isinstance(v, (int, Fraction)):
         return str(v)
     return _fmt(float(v))
@@ -181,6 +180,7 @@ def _matrix_series_payload(ms) -> dict:
 
 
 def _emit(payload: dict, out_path) -> None:
+    import json
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w", newline="\n") as fh:
@@ -284,13 +284,6 @@ def _solve_drift(cfg, args) -> dict:
     return {"kind": "drift", "t": t, "values": values}
 
 
-def _exact_number(v, where: str) -> Fraction:
-    n = _number(v, where)
-    if isinstance(n, complex):
-        raise ConfigError(f"{where}: must be real")
-    return Fraction(n)
-
-
 def _solve_schrodinger(cfg, args) -> dict:
     from . import solvers
 
@@ -305,13 +298,13 @@ def _solve_schrodinger(cfg, args) -> dict:
         coeffs = _get(cfg, "phi", list)
         poly = Polynomial(
             {
-                k: _exact_number(c, f"phi[{k}]")
+                k: Fraction(_real(c, f"phi[{k}]"))
                 for k, c in enumerate(coeffs)
                 if c != 0
             }
         )
         sol = solvers.solve_laguerre_schrodinger_general(
-            poly, _exact_number(cfg["alpha"], "alpha"), _exact_number(cfg["beta"], "beta"), n_max
+            poly, Fraction(_real(cfg["alpha"], "alpha")), Fraction(_real(cfg["beta"], "beta")), n_max
         )
         return {"kind": "schrodinger", "solution": bivariate_payload(sol)}
     x = _real(_get(cfg, "x", (int, float)), "x")
@@ -510,6 +503,7 @@ SOLVE_TABLE = {
 
 
 def cmd_solve(args) -> int:
+    import json
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -606,6 +600,7 @@ def cmd_plot_trig(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.json:
+        import json
         rows = verify_mod.report(args.suite)
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")
         return 0 if all(r["passed"] for r in rows) else 1
@@ -632,6 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a special function")
     p_eval.add_argument("function", choices=sorted(EVAL_TABLE))
     p_eval.add_argument("args", nargs="*")
+    # read -1e5, -inf and -nan as values, as argparse reads -3; _eval_args refuses -inf and -nan
+    p_eval._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
     p_eval.add_argument("--tol", type=float, default=None)
     p_eval.add_argument("--max-terms", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)

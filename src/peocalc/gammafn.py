@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, GammaPoleError
+from .errors import ConvergenceError, DomainError, GammaPoleError
 
 # Largest n with (n - 1)! representable in a double (171! overflows).
 _MAX_FACTORIAL_ARG = 171
@@ -51,11 +51,14 @@ def gamma(z) -> float:
 
 
 def log_gamma_real(x: float) -> float:
-    """log Gamma(x) for real x > 0, overflow free."""
+    """log Gamma(x) for real x > 0; ConvergenceError past about 2.56e305, where it overflows."""
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"log_gamma_real needs x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise ConvergenceError(f"log Gamma({x}) overflows a float") from None
 
 
 def recip_gamma(z) -> float:

@@ -535,23 +535,23 @@ def fractional_schrodinger_residual(
 def fractional_schrodinger_general(
     f: Polynomial, alpha, beta, mu, n_max: int
 ) -> BivariateSeries:
-    """Fractional evolution of a polynomial initial state, taken literally
-    from its operational display:
+    """Fractional evolution of a polynomial initial state from the display
 
-        exp(-w^3 a^2 b/6) exp(-w a x) f(x + (a b/2) w - w b d/dx) 1
+        exp(-w^3 a^2 b/6) exp(-w a x) f(x + (a b/2) w^2 - w b d/dx) 1
 
     graded by powers of w = (t^mu), with grade-n terms weighted by
-    n! / G(mu n + 1).  Note the first-power scalar shift and the negative
-    derivative coupling; the integer-time analogue above uses a squared
-    shift and a positive coupling.  With f = 1 both agree; the difference
-    for general f is reported as measured, not reconciled.
+    n! / G(mu n + 1).  The paper's display has the scalar shift at w where
+    w^2 is meant.  At w^2, as in the integer-time solver above, grade n is
+    (-G)^n f / n! exactly, G = a x + (b/2) d^2, as the formal solution
+    sum_n (-t^mu)^n G^n f / G(mu n + 1) of D^mu psi = -G psi requires; at w
+    every grade n >= 1 differs from it unless b f' = 0.
     """
     m = _as_exp(mu)
     if not 0 < m < 1:
         raise DomainError(f"fractional_schrodinger_general needs 0 < mu < 1, got {mu}")
     a = GaussianRational.coerce(alpha)
     b = GaussianRational.coerce(beta)
-    arg = {1: WeylElement.scalar(a * b / 2) + WeylElement.d_op().scale(-b)}
+    arg = {2: WeylElement.scalar(a * b / 2), 1: WeylElement.d_op().scale(-b)}
     terms: dict = {}
     for n, p_n in enumerate(_evolved_grades(f, -(a * a * b) / 6, -a, arg, n_max)):
         w = recip_gamma(float(m) * n + 1.0)

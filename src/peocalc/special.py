@@ -25,9 +25,8 @@ so they cancel where those do; ``verify`` checks against quadrature instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 from .gammafn import log_gamma_real, recip_gamma
@@ -37,24 +36,39 @@ from .series import FracSeries
 CONSECUTIVE_SMALL = 3
 
 
-@dataclass(frozen=True)
 class SeriesEvalConfig:
-    rel_tol: float = 1e-14
-    max_terms: int = 10000
+    """The termination rule's rel_tol and max_terms: immutable, compared by value."""
 
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0):
+    __slots__ = ("rel_tol", "max_terms")  # _converge reads slots faster than namedtuple fields
+
+    def __init__(self, rel_tol: float = 1e-14, max_terms: int = 10000):
+        if not (rel_tol > 0.0):
             raise DomainError("rel_tol must be positive")
-        if self.max_terms < 1:
+        if max_terms < 1:
             raise DomainError("max_terms must be at least 1")
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "max_terms", max_terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # (class, fields): also the key of ==, hash and repr
+        return type(self), (self.rel_tol, self.max_terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        return "SeriesEvalConfig(rel_tol=%r, max_terms=%r)" % self.__reduce__()[1]
 
 
 DEFAULT_CONFIG = SeriesEvalConfig()
-
-
-class SeriesSum(NamedTuple):
-    value: complex
-    terms: int
+SeriesSum = namedtuple("SeriesSum", "value terms")
 
 
 def _converge(term_gen, cfg: SeriesEvalConfig, label: str) -> SeriesSum:
@@ -188,8 +202,11 @@ def hermite3(n: int, x, y):
         p, q, u, v = x.numerator, x.denominator, y.numerator, y.denominator
         return Fraction(hermite3(n, p * v, q**3 * v**2 * u), (q * v) ** n)
     total = 0
-    for r in range(n // 3 + 1):
-        total = total + _h3_coefficient(n, r) * x ** (n - 3 * r) * y**r
+    try:
+        for r in range(n // 3 + 1):
+            total = total + _h3_coefficient(n, r) * x ** (n - 3 * r) * y**r
+    except OverflowError:
+        raise ConvergenceError(f"hermite3({n}, {x}, {y}) overflows a float") from None
     return total
 
 

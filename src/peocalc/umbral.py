@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .gammafn import gamma, is_gamma_pole, recip_gamma

@@ -9,8 +9,8 @@ is checking more than the identity itself demands.
 
 Suites: special, umbral, weyl, peo, vn; "all" chains every one.
 
-The CLI imports this module at start-up, so `weyl`, `solvers` and
-`volterra` are imported inside the suites that use them, not here.
+The CLI imports this module at start-up, so it loads no `dataclasses`, and
+the suites import `weyl`, `solvers` and `volterra` where they use them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
@@ -38,14 +38,13 @@ from .umbral import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    detail: str = ""
-    # perf_counter() when the check finished; report() turns it into seconds
-    stamp: float = field(default_factory=time.perf_counter, compare=False, repr=False)
+class CheckResult(namedtuple("CheckResult", "name passed residual detail", defaults=("",))):
+    # stamp, perf_counter() when the check finished, which report() turns into
+    # seconds, is an attribute and not a field: equality and repr leave it out
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.stamp = time.perf_counter()
+        return self
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -72,16 +71,10 @@ def _expm2(rows, terms: int = 24):
     acc = [[1.0, 0.0], [0.0, 1.0]]
     term = [[1.0, 0.0], [0.0, 1.0]]
     for n in range(1, terms):
-        term = [
-            [sum(term[i][k] * s[k][j] for k in range(2)) / n for j in range(2)]
-            for i in range(2)
-        ]
+        term = [[v / n for v in row] for row in _mat2_mul(term, s)]
         acc = [[acc[i][j] + term[i][j] for j in range(2)] for i in range(2)]
     for _ in range(squarings):
-        acc = [
-            [sum(acc[i][k] * acc[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)
-        ]
+        acc = _mat2_mul(acc, acc)
     return acc
 
 

@@ -13,7 +13,7 @@ from scipy.special import erfc
 import peocalc
 from peocalc import cli
 from peocalc.series import series_allclose, series_eval
-from peocalc.special import kelvin_bei, kelvin_ber
+from peocalc.special import SeriesEvalConfig, kelvin_bei, kelvin_ber, laguerre_exp
 from peocalc.solvers import (
     pseudo_rotation,
     solve_laguerre_drift,
@@ -82,12 +82,33 @@ def test_eval_non_numeric_argument_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["h3", "3", "0.5", "nan"], ["le", "nan"], ["lc", "inf"], ["le_nm", "1", "2", "nan"], ["ml", "nan", "1", "0.5"]],
+    [
+        ["h3", "3", "0.5", "nan"], ["le", "nan"], ["lc", "inf"], ["le_nm", "1", "2", "nan"],
+        ["ml", "nan", "1", "0.5"], ["le_nm", "1", "2", "-inf"], ["le", "-nan"],
+        ["ml", "0.5", "-Infinity", "1"],
+    ],
 )
 def test_eval_non_finite_argument_is_a_domain_error(argv, capsys):
     rc, out, err = run_cli(["eval", *argv], capsys)
     assert rc == 3 and out == ""
     assert "finite" in err and "overflow" not in err
+
+
+@pytest.mark.parametrize("x", ["-4.5", "-3", "-.5", "-1e1"])
+def test_eval_reads_a_negative_number_as_a_value(x, capsys):
+    want = laguerre_exp(float(x), SeriesEvalConfig(rel_tol=1e-10, max_terms=50))
+    rc, out, _ = run_cli(["eval", "le", x, "--tol", "1e-10", "--max-terms", "50"], capsys)
+    assert rc == 0
+    assert out == f"value = {cli._fmt(want.value)}\nterms = {want.terms}\n"
+    rc, out, err = run_cli(["eval", "le", x, "--max-terms", "2"], capsys)
+    assert rc == 3 and out == "" and "did not converge" in err
+
+
+@pytest.mark.parametrize("argv", [["h3", "200", "200", "171"], ["ml", "0.5", "1e308", "-1"]])
+def test_eval_float_overflow_is_a_convergence_error(argv, capsys):
+    rc, out, err = run_cli(["eval", *argv], capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and "overflows a float" in err
 
 
 # -- solve --------------------------------------------------------------
@@ -453,25 +474,39 @@ def test_package_exports_the_same_objects():
         peocalc.no_such_name
 
 
-def test_imports_load_only_what_a_command_needs():
+def test_imports_load_only_what_a_command_needs(tmp_path):
+    # -S, because site itself imports typing on some installs
+    heavy = "sorted({'dataclasses', 'typing', 'inspect', 'json'} & set(sys.modules))"
     script = (
         "import sys\n"
         "import peocalc\n"
         "print(sorted(m for m in sys.modules if m.startswith('peocalc.')))\n"
         "from peocalc import cli\n"
+        f"print({heavy})\n"
         "cli.main(['eval', 'le', '1'])\n"
         "print(sorted(m for m in sys.modules if m.startswith('peocalc.')))\n"
+        f"print({heavy})\n"
+        "print(cli.main(['solve', sys.argv[1], '--out', sys.argv[2]]), 'json' in sys.modules)\n"
     )
+    config = write_cfg(tmp_path, "vn.json", {"kind": "vn", "f": {"terms": [[0, 1]]}, "order": 4})
+    out_path = tmp_path / "out.json"
     src = os.path.dirname(os.path.dirname(peocalc.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script, config, str(out_path)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    after_import, _, _, after_eval = proc.stdout.splitlines()
+    after_import, heavy_after_import, _, _, after_eval, heavy_after_eval, _, solved = (
+        proc.stdout.splitlines()
+    )
     assert after_import == "[]"
+    assert heavy_after_import == heavy_after_eval == "[]"
     loaded = set(ast.literal_eval(after_eval))
     assert "peocalc.verify" in loaded
     assert not loaded & {"peocalc.weyl", "peocalc.solvers", "peocalc.volterra"}
+    # solve imports json on use and still writes its payload
+    assert solved == "0 True"
+    payload = json.loads(out_path.read_text())
+    assert payload["kind"] == "vn" and payload["closed_form"]["matches"]

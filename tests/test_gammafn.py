@@ -3,7 +3,7 @@ import math
 import pytest
 import scipy.special
 
-from peocalc.errors import DomainError, GammaPoleError
+from peocalc.errors import ConvergenceError, DomainError, GammaPoleError
 from peocalc.gammafn import (
     beta,
     gamma,
@@ -52,6 +52,13 @@ def test_large_arguments_against_lgamma():
         if x > 0.0:
             want = scipy.special.gammaln(x)
             assert abs(log_gamma_real(x) - want) <= 1e-14 * max(1.0, abs(want)), x
+
+
+def test_log_gamma_real_overflow_is_a_convergence_error():
+    assert rel_err(log_gamma_real(2.5e305), scipy.special.gammaln(2.5e305)) <= 1e-14
+    for x in (2.6e305, 1e308):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            log_gamma_real(x)
 
 
 def test_pole_behaviour():

@@ -478,3 +478,34 @@ def test_fractional_general_no_diffusion_closed_form():
     got = F.eval(x, t)
     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
     assert abs(F.coeff(5, mu * 3) - (-1.0) ** 3 * recip_gamma(2.5)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "a, b, mu",
+    [
+        (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)),
+        (Fraction(-2), Fraction(3, 7), Fraction(1, 3)),
+        (Fraction(3, 2), Fraction(-1), Fraction(2, 3)),
+    ],
+)
+def test_fractional_general_grades_follow_the_generator_recurrence(a, b, mu):
+    # D^mu psi = -G psi with G = a x + (b/2) d^2 has grade-n coefficient
+    # (-G)^n f / Gamma(mu n + 1); the solver's grade-n term carries n! times
+    # the display's grade-n polynomial, which must be (-G)^n f / n! exactly.
+    minus_g = WeylElement.x_op().scale(-a) + WeylElement.d_op(2).scale(-b / 2)
+    n_max = 8
+    for f in (
+        Polynomial({1: 1}),
+        Polynomial({0: 1, 2: Fraction(1, 2)}),
+        Polynomial({3: 1}),
+        Polynomial({4: 2, 1: -1}),
+    ):
+        want, q = {}, f
+        for n in range(n_max + 1):
+            w = recip_gamma(float(mu) * n + 1.0)
+            for deg, c in q.coeffs.items():
+                z = complex(c)
+                want[(deg, mu * n)] = (z.real if z.imag == 0 else z) * w
+            q = apply(minus_g, q)
+        got = fractional_schrodinger_general(f, a, b, mu, n_max)
+        assert got.terms == want, f

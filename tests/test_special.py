@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -75,7 +77,24 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SeriesEvalConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
+        SeriesEvalConfig(rel_tol=math.nan)
+    with pytest.raises(DomainError):
         SeriesEvalConfig(max_terms=0)
+
+
+def test_config_is_an_immutable_value():
+    cfg = SeriesEvalConfig(rel_tol=1e-10, max_terms=50)
+    assert (cfg.rel_tol, cfg.max_terms) == (1e-10, 50)
+    assert SeriesEvalConfig() == DEFAULT_CONFIG
+    assert SeriesEvalConfig(1e-10, 50) == cfg and hash(SeriesEvalConfig(1e-10, 50)) == hash(cfg)
+    assert cfg != SeriesEvalConfig(rel_tol=1e-10) and cfg != (1e-10, 50)
+    assert repr(DEFAULT_CONFIG) == "SeriesEvalConfig(rel_tol=1e-14, max_terms=10000)"
+    with pytest.raises(AttributeError):
+        cfg.rel_tol = 1e-12
+    with pytest.raises(AttributeError):
+        cfg.other = 1
+    assert (cfg.rel_tol, cfg.max_terms) == (1e-10, 50)
+    assert copy.deepcopy(cfg) == cfg and pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 def test_laguerre_e_nm_reduces_to_laguerre_exp():
@@ -243,6 +262,12 @@ def test_hermite3_three_term_structure():
 def test_hermite3_large_order_uses_log_route():
     got = hermite3(200, 1.0, 0.5)
     assert math.isfinite(got) and got != 0.0
+
+
+def test_hermite3_float_overflow_is_a_convergence_error():
+    # 200.0 ** 200 overflows inside the float sum
+    with pytest.raises(ConvergenceError, match="overflows"):
+        hermite3(200, 200.0, 171.0)
 
 
 def test_hermite3_domain():
