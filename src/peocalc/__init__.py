@@ -4,12 +4,11 @@ Laguerre and Mittag-Leffler pseudo-exponentials, generalized power series
 with fractional exponents, umbral evaluation of formal integrals, exact
 Weyl-algebra disentanglement, and Volterra-Neumann / Dyson series solvers.
 
-Importing the package loads no submodule: each public name below is
-imported from its module on first access (PEP 562), so a caller that needs
-only the scalar functions never loads the operator and series solvers.
+Importing the package loads no submodule, and no `importlib`: each public
+name below is imported from its module on first access (PEP 562), so a
+caller that needs only the scalar functions never loads the operator and
+series solvers.
 """
-
-import importlib
 
 _EXPORTS = {
     "ConditioningError": "errors",
@@ -88,6 +87,6 @@ def __getattr__(name):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     globals()[name] = value
     return value

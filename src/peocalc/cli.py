@@ -13,8 +13,11 @@ is deterministic: the same invocation produces byte-identical bytes,
 floats are printed with repr-quality precision, CSV uses comma, dot
 and LF throughout.
 
-Start-up loads no `dataclasses`, `typing` or `json`: `solve` and `verify
---json` import json, and the solve handlers `solvers` and `volterra`, on use.
+Start-up loads `errors`, `gammafn`, `special` and `verify` of the package
+and no `series`, `umbral`, `cmath`, `dataclasses`, `typing` or `json`, which
+`eval` does not use: `solve` and `verify --json` import json, the solve
+handlers `series`, `solvers` and `volterra`, and the suites what they check,
+on use.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import sys
 from fractions import Fraction
 
 from .errors import ConditioningError, ConvergenceError, DomainError
-from .series import FracSeries, series_max_deviation
 from .special import (
     DEFAULT_CONFIG,
     SeriesEvalConfig,
@@ -101,6 +103,8 @@ def _real(v, where: str) -> float:
 
 
 def _series_from_spec(spec, order, where: str) -> FracSeries:
+    from .series import FracSeries
+
     if not isinstance(spec, dict) or "terms" not in spec:
         raise ConfigError(f"{where}: expected an object with a 'terms' list")
     raw = spec["terms"]
@@ -144,6 +148,8 @@ def series_payload(s: FracSeries) -> dict:
 
 
 def series_from_payload(p: dict) -> FracSeries:
+    from .series import FracSeries
+
     if not isinstance(p, dict) or p.get("type") != "power_series":
         raise ConfigError("payload is not a serialized power series")
     order = p.get("truncation_order", "inf")
@@ -372,6 +378,8 @@ def _solve_fractional_schrodinger(cfg, args) -> dict:
 def _closed_form_report(f: FracSeries, y0, partial: FracSeries, order) -> dict | None:
     """For a one-term kernel c t^m (integer m >= 0) and y0 = 1 the Neumann
     sum telescopes to laguerre_exp(c t^(m+1) / (m+1)^2); report the match."""
+    from .series import FracSeries, series_max_deviation
+
     terms = f.terms
     if len(terms) != 1 or y0 != 1:
         return None
@@ -442,6 +450,7 @@ def _solve_fractional_vn(cfg, args) -> dict:
 
 def _solve_dyson(cfg, args) -> dict:
     from . import volterra
+    from .series import FracSeries
 
     order = _real(_get(cfg, "order", (int, float), 10), "order")
     if args.order is not None:
@@ -554,6 +563,8 @@ def _first_sign_change(xs, vals):
 
 def cmd_plot_trig(args) -> int:
     x_min, x_max, step = args.x_min, args.x_max, args.step
+    if not all(map(math.isfinite, (x_min, x_max, step))):
+        raise DomainError(f"plot-trig needs finite bounds and step, got {x_min}, {x_max}, {step}")
     if not (x_min < x_max) or step <= 0:
         print("error: need x_min < x_max and step > 0", file=sys.stderr)
         return 2

@@ -624,9 +624,7 @@ class Matrix2:
         return self.a * self.d - self.b * self.c
 
     def frobenius(self) -> float:
-        return math.sqrt(
-            abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + abs(self.d) ** 2
-        )
+        return math.hypot(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
     def eigenvalues(self):
         tr = self.trace()

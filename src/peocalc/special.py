@@ -30,7 +30,6 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
 from .gammafn import log_gamma_real, recip_gamma
-from .series import FracSeries
 
 # Successive small terms that end a series sum.
 CONSECUTIVE_SMALL = 3
@@ -206,12 +205,16 @@ def hermite3(n: int, x, y):
         for r in range(n // 3 + 1):
             total = total + _h3_coefficient(n, r) * x ** (n - 3 * r) * y**r
     except OverflowError:
-        raise ConvergenceError(f"hermite3({n}, {x}, {y}) overflows a float") from None
+        total = math.inf
+    # a float product that overflows gives inf without raising
+    if isinstance(total, (float, complex)) and not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise ConvergenceError(f"hermite3({n}, {x}, {y}) overflows a float")
     return total
 
 
 def laguerre_exp_series(c, m: int = 1, n_terms: int = 24, truncation_order=math.inf) -> FracSeries:
     """FracSeries of le(c t^m) = sum_r c^r t^(m r) / (r!)^2 (exact for exact c)."""
+    from .series import FracSeries
     if m < 1:
         raise DomainError("laguerre_exp_series needs m >= 1")
     terms = []
@@ -222,6 +225,7 @@ def laguerre_exp_series(c, m: int = 1, n_terms: int = 24, truncation_order=math.
 
 def mittag_leffler_series(mu: float, m, n_terms: int = 24, truncation_order=math.inf) -> FracSeries:
     """FracSeries of E_{mu,1}(m t^mu) = sum_n m^n t^(mu n) / Gamma(mu n + 1)."""
+    from .series import FracSeries
     if not float(mu) > 0.0:
         raise DomainError("mittag_leffler_series needs mu > 0")
     terms = []

@@ -9,13 +9,14 @@ is checking more than the identity itself demands.
 
 Suites: special, umbral, weyl, peo, vn; "all" chains every one.
 
-The CLI imports this module at start-up, so it loads no `dataclasses`, and
-the suites import `weyl`, `solvers` and `volterra` where they use them.
+The CLI imports this module at start-up, so it loads only `errors`,
+`gammafn` and `special` of the package, and no `cmath` or `dataclasses`:
+each suite imports `cmath`, `series`, `umbral`, `weyl`, `solvers` or
+`volterra` where it uses them.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from collections import namedtuple
@@ -23,18 +24,11 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .gammafn import gamma, recip_gamma
-from .series import FracSeries, rl_derivative, series_eval
 from .special import (
     laguerre_cos,
     laguerre_exp,
     laguerre_sin,
     mittag_leffler,
-)
-from .umbral import (
-    laguerre_binomial_pow,
-    laguerre_semigroup_check,
-    ml_binomial_pow,
-    ml_semigroup_discrepancy,
 )
 
 
@@ -140,6 +134,8 @@ def _trapezoid_mean(f, nodes: int = 32):
 
 
 def suite_special() -> list[CheckResult]:
+    import cmath
+
     out = []
     worst = 0.0
     for t in (0.5, 1.0, 2.0, 5.0, 10.0):
@@ -172,6 +168,13 @@ def suite_special() -> list[CheckResult]:
 
 
 def suite_umbral() -> list[CheckResult]:
+    from .umbral import (
+        laguerre_binomial_pow,
+        laguerre_semigroup_check,
+        ml_binomial_pow,
+        ml_semigroup_discrepancy,
+    )
+
     out = []
     out.append(
         _bounded(
@@ -283,6 +286,7 @@ def suite_weyl() -> list[CheckResult]:
 
 def suite_peo() -> list[CheckResult]:
     from . import solvers
+    from .series import FracSeries, rl_derivative
     from .weyl import Polynomial
 
     out = []
@@ -365,6 +369,7 @@ def suite_peo() -> list[CheckResult]:
 
 def suite_vn() -> list[CheckResult]:
     from . import volterra
+    from .series import FracSeries, series_eval
 
     out = []
     f = FracSeries.monomial(1, -1, truncation_order=20)

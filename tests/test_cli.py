@@ -1,8 +1,10 @@
 import ast
+import functools
 import importlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -104,7 +106,13 @@ def test_eval_reads_a_negative_number_as_a_value(x, capsys):
     assert rc == 3 and out == "" and "did not converge" in err
 
 
-@pytest.mark.parametrize("argv", [["h3", "200", "200", "171"], ["ml", "0.5", "1e308", "-1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["h3", "200", "200", "171"], ["ml", "0.5", "1e308", "-1"],
+        ["h3", "5", "1e60", "1e250"], ["h3", "5", "1e60", "-1e250"],
+    ],
+)
 def test_eval_float_overflow_is_a_convergence_error(argv, capsys):
     rc, out, err = run_cli(["eval", *argv], capsys)
     assert rc == 3 and out == ""
@@ -227,6 +235,15 @@ def test_solve_degenerate_matrix_exits_3(tmp_path, capsys):
     )
     rc, _, err = run_cli(["solve", path], capsys)
     assert rc == 3
+
+
+def test_solve_matrix_with_huge_entries_exits_3(tmp_path, capsys):
+    path = write_cfg(
+        tmp_path, "big.json", {"kind": "matrix", "m": [[-1e300, 1e300], ["1/3", 2]], "t": 50}
+    )
+    rc, out, err = run_cli(["solve", path], capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and "overflowed" in err
 
 
 def test_solve_output_deterministic(tmp_path, capsys):
@@ -362,6 +379,13 @@ def test_plot_trig_bad_range_exits_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [["0", "inf", "1"], ["0", "1", "nan"], ["--", "-inf", "1", "1"]])
+def test_plot_trig_non_finite_bound_is_a_domain_error(argv, capsys):
+    rc, out, err = run_cli(["plot-trig", *argv], capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_plot_trig_out_file(tmp_path, capsys):
     out = tmp_path / "table.csv"
     rc, report, _ = run_cli(["plot-trig", "0", "8", "0.5", "--out", str(out)], capsys)
@@ -423,6 +447,26 @@ def test_module_entry_point_runs():
     assert proc.stdout.startswith("value = ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "h3", "5", "1e60", "1e250"],
+        ["plot-trig", "0", "inf", "1"],
+        ["solve", {"kind": "matrix", "m": [[-1e300, 1e300], ["1/3", 2]], "t": 50}],
+    ],
+)
+def test_overflow_and_non_finite_bounds_exit_3_as_a_process(argv, tmp_path):
+    argv = [write_cfg(tmp_path, "cfg.json", a) if isinstance(a, dict) else a for a in argv]
+    # 1 GiB of address space, so a grid that never ends fails fast
+    cap = functools.partial(resource.setrlimit, resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run(
+        [sys.executable, "-m", "peocalc.cli", *argv],
+        capture_output=True, text=True, timeout=20, preexec_fn=cap,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+
 # -- imports -------------------------------------------------------------
 
 # the names `peocalc` exported before its imports became lazy, by module
@@ -476,10 +520,13 @@ def test_package_exports_the_same_objects():
 
 def test_imports_load_only_what_a_command_needs(tmp_path):
     # -S, because site itself imports typing on some installs
-    heavy = "sorted({'dataclasses', 'typing', 'inspect', 'json'} & set(sys.modules))"
+    heavy = "sorted({'dataclasses', 'typing', 'inspect', 'json', 'cmath'} & set(sys.modules))"
     script = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import peocalc\n"
+        "print(sorted(set(sys.modules) - before))\n"
+        "from peocalc import laguerre_exp\n"
         "print(sorted(m for m in sys.modules if m.startswith('peocalc.')))\n"
         "from peocalc import cli\n"
         f"print({heavy})\n"
@@ -498,14 +545,17 @@ def test_imports_load_only_what_a_command_needs(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    after_import, heavy_after_import, _, _, after_eval, heavy_after_eval, _, solved = (
-        proc.stdout.splitlines()
-    )
-    assert after_import == "[]"
+    lines = proc.stdout.splitlines()
+    added, after_scalar, heavy_after_import, _, _, after_eval, heavy_after_eval, _, solved = lines
+    # the package loads no submodule, and no importlib or warnings either
+    assert ast.literal_eval(added) == ["peocalc"]
+    assert ast.literal_eval(after_scalar) == ["peocalc.errors", "peocalc.gammafn", "peocalc.special"]
     assert heavy_after_import == heavy_after_eval == "[]"
     loaded = set(ast.literal_eval(after_eval))
     assert "peocalc.verify" in loaded
-    assert not loaded & {"peocalc.weyl", "peocalc.solvers", "peocalc.volterra"}
+    assert not loaded & {
+        "peocalc.series", "peocalc.umbral", "peocalc.weyl", "peocalc.solvers", "peocalc.volterra"
+    }
     # solve imports json on use and still writes its payload
     assert solved == "0 True"
     payload = json.loads(out_path.read_text())

@@ -356,6 +356,18 @@ def test_matrix_degenerate_eigenvalues_raise():
         matrix_laguerre_exp(Matrix2(1.0, 1.0, 0.0, 1.0), 1.0)
 
 
+def test_matrix_frobenius_does_not_overflow():
+    M = Matrix2.from_rows([[-1e300, 1e300], [Fraction(1, 3), 2]])
+    assert M.frobenius() == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+    assert Matrix2(Fraction(3), 0, 0, Fraction(-4)).frobenius() == 5.0
+
+
+def test_matrix_huge_entries_raise_a_convergence_error():
+    M = Matrix2.from_rows([[-1e300, 1e300], [Fraction(1, 3), 2]])
+    with pytest.raises(ConvergenceError, match="overflowed"):
+        matrix_pseudo_exp(M, 50.0, LAGUERRE_KERNEL)
+
+
 def test_matrix_series_tail_guard():
     with pytest.raises(ConvergenceError):
         matrix_pseudo_exp(

@@ -270,6 +270,17 @@ def test_hermite3_float_overflow_is_a_convergence_error():
         hermite3(200, 200.0, 171.0)
 
 
+@pytest.mark.parametrize("x, y", [(1e60, 1e250), (1e60, -1e250), (complex(1e60, 0.0), 1e250)])
+def test_hermite3_float_product_overflow_is_a_convergence_error(x, y):
+    # 60 * x**2 * y overflows to inf in a product, which raises nothing
+    with pytest.raises(ConvergenceError, match="overflows"):
+        hermite3(5, x, y)
+
+
+def test_hermite3_large_finite_float_is_returned():
+    assert hermite3(5, 1e60, 1e100) == pytest.approx(1e300 + 6e221, rel=1e-15)
+
+
 def test_hermite3_domain():
     with pytest.raises(DomainError):
         hermite3(-1, 1.0, 1.0)
